@@ -322,6 +322,7 @@ def _apply_free(
     rates: DecoherenceRates,
     phases: tuple[float, float, float] | None = None,
 ) -> np.ndarray:
+    """Gap map applied to a (9,) state vector or to each column of a (9, m) stack."""
     E2, r21, r23, f12, f13, f23 = _free_factors(dt, rates)
     out = v.copy()
     lost = v[1] * (1.0 - E2)
@@ -338,9 +339,21 @@ def _apply_free(
         for i0, a in zip((3, 5, 7), phases):
             c, s = math.cos(a), math.sin(a)
             x, y = out[i0], out[i0 + 1]
-            out[i0] = c * x - s * y
-            out[i0 + 1] = s * x + c * y
+            out[i0], out[i0 + 1] = c * x - s * y, s * x + c * y
     return out
+
+
+def _map_powers(period_map: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Rows period_map**k @ v for k = 0..n-1, by repeated doubling.
+
+    Each round appends P**m applied to the m rows so far and squares P**m,
+    so n rows cost about log2(n) matrix products instead of n steps.
+    """
+    rows, power = v[None, :], period_map
+    while len(rows) < n:
+        rows = np.concatenate((rows, rows @ power.T))
+        power = power @ power
+    return rows[:n]
 
 
 def _interpulse_angles(T: float, sys: LevelSystem) -> tuple[float, float, float]:

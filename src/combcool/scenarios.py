@@ -34,8 +34,11 @@ one the expected values below were measured under.
 The strong-drive pulse duration and repetition period are not externally
 given; they are fixed by :func:`calibrate_fig4`, a scripted scan that selects
 the (tau, period) pair producing stepwise transfer completing in 109 +/- 10
-pulses.  The chosen values are frozen into module constants and marked with
-``derived`` provenance on the corresponding expectations.
+pulses.  The scan integrates one pulse map per duration and scores each
+candidate period from the powers of its 9x9 one-period map (pulse map, then
+the inter-pulse rotation), formed by repeated doubling.  The chosen values
+are frozen into module constants and marked with ``derived`` provenance on
+the corresponding expectations.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .dynamics import (
     _apply_free,
     _integrate_window,
     _interpulse_angles,
+    _map_powers,
     propagate,
     quantum_yield,
     resolve_step,
@@ -827,19 +831,18 @@ def _staircase_stats(
 ) -> tuple[float, int, int]:
     """(peak yield, pulse count at the first yield peak, transfer pulse).
 
-    Iterates pulse + inter-pulse rotation maps from the pure initial state,
-    reads the target population at each pulse end, and stops bookkeeping at
-    the first peak: the last running maximum before the yield falls by more
-    than 0.05 below it.
+    Forms the one-period map P = R(period) @ pulse_map once (the inter-pulse
+    rotation R applied to the columns of the pulse map), takes the powers
+    P**k of the pure initial state by repeated doubling, and reads the
+    target population at each pulse end as row 2 of pulse_map against them.
+    Bookkeeping stops at the first peak: the last running maximum before the
+    yield falls by more than 0.05 below it.
     """
-    angles = _interpulse_angles(period, sys)
-    rates = DecoherenceRates.none()
-    v = DensityMatrix.pure(1).to_vector()
-    p33 = np.empty(n_max)
-    for k in range(n_max):
-        v = pulse_map @ v
-        p33[k] = v[2]
-        v = _apply_free(v, 0.0, rates, angles)
+    period_map = _apply_free(
+        pulse_map, 0.0, DecoherenceRates.none(), _interpulse_angles(period, sys)
+    )
+    rows = _map_powers(period_map, DensityMatrix.pure(1).to_vector(), n_max)
+    p33 = rows @ pulse_map[2]
     run_max = np.maximum.accumulate(p33)
     falls = np.nonzero(run_max - p33 > 0.05)[0]
     upto = int(falls[0]) if falls.size else n_max
@@ -909,20 +912,28 @@ def calibrate_fig4(
     """Scan pulse durations and repetition periods for stepwise transfer.
 
     For every pulse duration on the grid the single-pulse superoperator is
-    integrated once; candidate periods then only cost a staircase of matrix
-    products, so the period can be refined finely around each coarse base.
+    integrated once; a candidate period then costs one 9x9 one-period map
+    and its powers by repeated doubling (about log2(n_pulse_probe) matrix
+    products), so the period can be refined finely around each coarse base.
     A candidate is feasible when its first yield peak exceeds 0.95 with the
     95%-transfer point between 98 and 120 pulses; among feasible candidates
     the highest peak wins.  With refine_tau the winning duration is polished
     on a local grid (+/- 0.03 in steps of 0.006).  The returned numbers are
     re-measured with a full propagation at the chosen point; the module
     constants FIG4_TAU / FIG4_PERIOD / FIG4_PULSES were frozen from this
-    procedure's default run.
+    procedure's default run.  An empty tau_grid or period_grid, or an
+    n_pulse_probe below 1, raises ValueError.
     """
     taus = tuple(tau_grid) if tau_grid is not None else CALIBRATION_TAU_GRID
     bases = (
         tuple(period_grid) if period_grid is not None else CALIBRATION_PERIOD_GRID
     )
+    if not taus:
+        raise ValueError("tau_grid must hold at least one pulse duration")
+    if not bases:
+        raise ValueError("period_grid must hold at least one period")
+    if n_pulse_probe < 1:
+        raise ValueError(f"n_pulse_probe must be at least 1, got {n_pulse_probe!r}")
     icfg = icfg if icfg is not None else IntegratorConfig(interpulse_phases=True)
     sys = _strong_system()
 
@@ -942,7 +953,7 @@ def calibrate_fig4(
 
     for tau in taus:
         consider(tau)
-    if refine_tau and best is not None:
+    if refine_tau:
         seen = set(taus)
         for tau in np.arange(best.tau - 0.03, best.tau + 0.03 + 1e-12, 0.006):
             tau = round(float(tau), 6)
@@ -951,7 +962,6 @@ def calibrate_fig4(
             seen.add(tau)
             consider(tau)
 
-    assert best is not None  # taus is never empty
     cfg = PulseTrainConfig(
         rabi_peak=FIG4_RABI,
         omega_L=STRONG_OMEGA32,

@@ -25,6 +25,7 @@ from combcool import (
     propagate,
 )
 from combcool import spectrum as sp
+from combcool.dynamics import _apply_free, _interpulse_angles
 
 # --- desk-scale comb surrogate (dimensionless units) -----------------------
 TICK = 2.0 * math.pi / 40.0          # comb tooth spacing for T = 40
@@ -128,3 +129,29 @@ def quiet_propagate(rho0, cfg, sys_, rates, icfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return propagate(rho0, cfg, sys_, rates, icfg)
+
+
+# --- reference implementations ---------------------------------------------
+
+def staircase_stats_loop(pulse_map, period, sys_, n_max):
+    """Per-pulse oracle for scenarios._staircase_stats.
+
+    Steps the pure initial state through pulse map and inter-pulse rotation
+    one pulse at a time, then applies the same first-peak bookkeeping.
+    """
+    angles = _interpulse_angles(period, sys_)
+    rates = DecoherenceRates.none()
+    v = DensityMatrix.pure(1).to_vector()
+    p33 = np.empty(n_max)
+    for k in range(n_max):
+        v = pulse_map @ v
+        p33[k] = v[2]
+        v = _apply_free(v, 0.0, rates, angles)
+    run_max = np.maximum.accumulate(p33)
+    falls = np.nonzero(run_max - p33 > 0.05)[0]
+    upto = int(falls[0]) if falls.size else n_max
+    peak_pulse = int(p33[:upto].argmax()) + 1
+    peak = float(p33[peak_pulse - 1])
+    hits = np.nonzero(p33[:peak_pulse] > 0.95 * peak)[0]
+    transfer = int(hits[0]) + 1 if hits.size else peak_pulse
+    return peak, peak_pulse, transfer

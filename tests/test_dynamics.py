@@ -21,7 +21,7 @@ from combcool import (
     quantum_yield,
     steady_state_yield,
 )
-from combcool.dynamics import omega_max, resolve_step
+from combcool.dynamics import _apply_free, _map_powers, omega_max, resolve_step
 
 from helpers import quiet_propagate, random_density_matrix, random_setup
 
@@ -96,6 +96,45 @@ def test_free_evolution_decays_coherences_monotonically():
 def test_free_evolution_identity_without_rates():
     out = free_evolution(MIXED_RHO0, 7.0, DecoherenceRates.none())
     np.testing.assert_allclose(out.to_vector(), MIXED_RHO0.to_vector(), atol=0.0)
+
+
+@pytest.mark.parametrize("phases", [None, (0.7, -1.3, 2.1)])
+def test_gap_map_on_a_stack_matches_column_by_column(phases):
+    rates = DecoherenceRates(gamma21=0.03, gamma23=0.01, Gamma21=0.02, Gamma31=0.005, Gamma23=0.025)
+    stack = np.random.default_rng(11).normal(size=(9, 6))
+    out = _apply_free(stack, 2.5, rates, phases)
+    for j in range(stack.shape[1]):
+        np.testing.assert_allclose(
+            out[:, j], _apply_free(stack[:, j], 2.5, rates, phases), atol=1e-15, rtol=0.0
+        )
+
+
+# --- one-period map powers ------------------------------------------------------
+
+
+def _unitary_map(rng: np.random.Generator) -> np.ndarray:
+    """9x9 map of rho -> U rho U^dagger for a random 3x3 unitary U."""
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return np.column_stack(
+        [
+            DensityMatrix.from_matrix(u @ DensityMatrix.from_vector(e).matrix @ u.conj().T).to_vector()
+            for e in np.eye(9)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 260])
+def test_map_powers_match_repeated_application(n):
+    rng = np.random.default_rng(5)
+    rates = DecoherenceRates(gamma21=0.002, gamma23=0.001, Gamma21=0.001, Gamma31=0.0005, Gamma23=0.0015)
+    period_map = _apply_free(_unitary_map(rng), 3.0, rates, (0.4, -2.2, 1.1))
+    v = random_density_matrix(rng).to_vector()
+    rows = _map_powers(period_map, v, n)
+    assert rows.shape == (n, 9)
+    expected = v
+    for k in range(n):
+        np.testing.assert_allclose(rows[k], expected, atol=1e-12, rtol=0.0)
+        expected = period_map @ expected
 
 
 # --- resonant two-level transfer against the pulse-area law -------------------

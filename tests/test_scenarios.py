@@ -10,10 +10,13 @@ import pytest
 import combcool.scenarios as sc
 from combcool import (
     DecoherenceRates,
+    IntegratorConfig,
     RateRelationViolation,
     Trajectory,
     steady_state_yield,
 )
+
+from helpers import staircase_stats_loop
 
 
 # --- preset catalogue ---------------------------------------------------------
@@ -295,6 +298,45 @@ def test_calibration_smoke_reproduces_the_frozen_period():
     assert 98 <= result.transfer_pulse <= 120
     assert result.max_rho22 < 0.15
     assert len(result.scanned) >= 1
+
+
+@pytest.fixture(scope="module")
+def strong_pulse_maps():
+    """Single-pulse maps of the calibration, keyed by pulse duration."""
+    sys_ = sc._strong_system()
+    icfg = IntegratorConfig(interpulse_phases=True)
+    return sys_, {tau: sc._single_pulse_map(tau, sys_, icfg) for tau in (0.198, 0.21)}
+
+
+@pytest.mark.parametrize(
+    "tau, period",
+    [
+        (0.198, sc.FIG4_PERIOD),
+        (0.198, sc.FIG4_PERIOD + 0.5),
+        (0.198, 14000.0),
+        (0.21, sc.FIG4_PERIOD),
+    ],
+)
+def test_staircase_stats_match_the_per_pulse_loop(strong_pulse_maps, tau, period):
+    sys_, maps = strong_pulse_maps
+    peak, peak_pulse, transfer = sc._staircase_stats(maps[tau], period, sys_, 260)
+    ref_peak, ref_peak_pulse, ref_transfer = staircase_stats_loop(maps[tau], period, sys_, 260)
+    assert abs(peak - ref_peak) < 1e-12
+    assert peak_pulse == ref_peak_pulse
+    assert transfer == ref_transfer
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"tau_grid": ()}, "tau_grid"),
+        ({"period_grid": ()}, "period_grid"),
+        ({"n_pulse_probe": 0}, "n_pulse_probe"),
+    ],
+)
+def test_calibration_rejects_empty_grids_and_probe(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        sc.calibrate_fig4(**kwargs)
 
 
 def test_calibration_full_scan_selects_the_frozen_point():
