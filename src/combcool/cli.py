@@ -201,9 +201,12 @@ def _coerce(raw: str, current, dotted: str):
         if raw.lower() == "none":
             return None
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"key {dotted!r}: expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"key {dotted!r}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -338,6 +341,10 @@ def _check_rates(rates: DecoherenceRates, rates_mode: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: Rows rendered per formatting call in _write_rows; bounds the text held in memory.
+_ROW_CHUNK = 4096
+
+
 def _g(value) -> str:
     return format(float(value), ".17g")
 
@@ -347,19 +354,31 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_rows(path: Path, header: str, block: np.ndarray) -> None:
+    """Write a header line, then the rows of a float (n, m) block as CSV.
+
+    Every value is rendered as '%.17g', which is the same text as _g.  The
+    rows go out _ROW_CHUNK at a time, each chunk through one %-format over
+    its values, so the text held in memory stays bounded however long the
+    block is.
+    """
+    block = np.asarray(block, dtype=float)
+    n, m = block.shape
+    row = ",".join(["%.17g"] * m) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, _ROW_CHUNK):
+            part = block[start : start + _ROW_CHUNK]
+            fh.write(row * len(part) % tuple(part.ravel().tolist()))
+
+
 def write_timeseries(path: Path, traj: Trajectory) -> None:
-    lines = ["t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace"]
-    trace = traj.trace_series
-    times = traj.times
-    data = traj.data
-    for i in range(traj.n_samples):
-        row = data[i]
-        lines.append(
-            ",".join(
-                (_g(times[i]), *(_g(x) for x in row), _g(trace[i]))
-            )
-        )
-    _write_lines(path, lines)
+    _write_rows(
+        path,
+        "t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace",
+        np.column_stack((traj.times, traj.data, traj.trace_series)),
+    )
 
 
 def summary_lines(resolved: ResolvedRun, traj: Trajectory) -> list[str]:
@@ -412,10 +431,9 @@ def _surrogate_spectrum(
 
 
 def write_spectrum_csv(path: Path, spec) -> None:
-    lines = ["omega,intensity"]
-    for omega, intensity in zip(spec.frequencies, spec.intensities):
-        lines.append(f"{_g(omega)},{_g(intensity)}")
-    _write_lines(path, lines)
+    _write_rows(
+        path, "omega,intensity", np.column_stack((spec.frequencies, spec.intensities))
+    )
 
 
 _PLOT_STUB = '''#!/usr/bin/env python3
@@ -444,11 +462,11 @@ plt.show()
 def write_plotdata(directory: Path, traj: Trajectory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for column, name in ((0, "rho11"), (1, "rho22"), (2, "rho33")):
-        lines = [f"t,{name}"]
-        values = traj.data[:, column]
-        for i in range(traj.n_samples):
-            lines.append(f"{_g(traj.times[i])},{_g(values[i])}")
-        _write_lines(directory / f"{name}.csv", lines)
+        _write_rows(
+            directory / f"{name}.csv",
+            f"t,{name}",
+            np.column_stack((traj.times, traj.data[:, column])),
+        )
     (directory / "plot.py").write_text(_PLOT_STUB, encoding="utf-8")
 
 

@@ -456,25 +456,26 @@ def _integrate_window(
 def _scan_states(states: np.ndarray, times: np.ndarray, trace_tol: float, pop_tol: float):
     """Trace and positivity guards over a block of fine states.
 
-    Returns (max |trace - 1|, min population, max rho22) for the block.
+    Returns (max |trace - 1|, min population, max rho22) for the block.  A
+    non-finite trace (NaN or infinite populations) counts as trace drift.
     """
-    traces = states[:, :3].sum(axis=1)
-    drift = np.abs(traces - 1.0)
+    p1, p2, p3 = states[:, 0], states[:, 1], states[:, 2]
+    drift = np.abs(p1 + p2 + p3 - 1.0)
     worst = int(drift.argmax())
-    if drift[worst] > trace_tol:
+    if not drift[worst] <= trace_tol:
         raise TraceDrift(
             f"|trace - 1| = {drift[worst]:.3e} > {trace_tol:.0e} at t = {times[worst]:g}; "
             "integration step or tolerances are inadequate"
         )
-    pops = states[:, :3]
-    low = int(pops.min(axis=1).argmin())
-    pmin = float(pops[low].min())
+    lowest = np.minimum(np.minimum(p1, p2), p3)
+    low = int(lowest.argmin())
+    pmin = float(lowest[low])
     if pmin < -pop_tol:
         raise NegativePopulation(
             f"population {pmin:.3e} < -{pop_tol:.0e} at t = {times[low]:g}; "
             "integration step or tolerances are inadequate"
         )
-    return float(drift[worst]), pmin, float(states[:, 1].max())
+    return float(drift[worst]), pmin, float(p2.max())
 
 
 def _resolved_metadata(cfg, sys, rates, icfg, step, rho0):
@@ -552,6 +553,8 @@ def propagate(
     stable_run = 0
     stopped_early = False
     pulses_run = 0
+    # recorded fine indices per (window steps, window starts where the last ended)
+    selections: dict[tuple[int, bool], np.ndarray] = {}
 
     for k in range(N):
         span = spans.get(k, interior_span)
@@ -570,12 +573,16 @@ def propagate(
         v = states_fine[-1].copy()
 
         n_fine = s_grid.size - 1
-        sel = np.arange(0, n_fine + 1, icfg.sampler_stride)
-        if sel[-1] != n_fine:
-            sel = np.append(sel, n_fine)
-        if k > 0 and gap == 0.0:
-            # the window starts exactly where the previous one ended
-            sel = sel[sel > 0]
+        # a later window with no gap starts exactly where the previous one ended
+        joined = k > 0 and gap == 0.0
+        sel = selections.get((n_fine, joined))
+        if sel is None:
+            sel = np.arange(0, n_fine + 1, icfg.sampler_stride)
+            if sel[-1] != n_fine:
+                sel = np.append(sel, n_fine)
+            if joined:
+                sel = sel[sel > 0]
+            selections[n_fine, joined] = sel
         times_chunks.append(abs_times[sel])
         data_chunks.append(states_fine[sel])
         n_recorded += sel.size

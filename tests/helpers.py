@@ -25,7 +25,12 @@ from combcool import (
     propagate,
 )
 from combcool import spectrum as sp
-from combcool.dynamics import _apply_free, _interpulse_angles
+from combcool.dynamics import (
+    NegativePopulation,
+    TraceDrift,
+    _apply_free,
+    _interpulse_angles,
+)
 
 # --- desk-scale comb surrogate (dimensionless units) -----------------------
 TICK = 2.0 * math.pi / 40.0          # comb tooth spacing for T = 40
@@ -155,3 +160,37 @@ def staircase_stats_loop(pulse_map, period, sys_, n_max):
     hits = np.nonzero(p33[:peak_pulse] > 0.95 * peak)[0]
     transfer = int(hits[0]) + 1 if hits.size else peak_pulse
     return peak, peak_pulse, transfer
+
+
+def scan_states_reference(states, times, trace_tol, pop_tol):
+    """Row-reduction oracle for dynamics._scan_states.
+
+    Reduces the (n, 3) population block along its rows; NaN-blind, so only
+    finite stacks are compared against it.
+    """
+    traces = states[:, :3].sum(axis=1)
+    drift = np.abs(traces - 1.0)
+    worst = int(drift.argmax())
+    if drift[worst] > trace_tol:
+        raise TraceDrift(
+            f"|trace - 1| = {drift[worst]:.3e} > {trace_tol:.0e} at t = {times[worst]:g}; "
+            "integration step or tolerances are inadequate"
+        )
+    pops = states[:, :3]
+    low = int(pops.min(axis=1).argmin())
+    pmin = float(pops[low].min())
+    if pmin < -pop_tol:
+        raise NegativePopulation(
+            f"population {pmin:.3e} < -{pop_tol:.0e} at t = {times[low]:g}; "
+            "integration step or tolerances are inadequate"
+        )
+    return float(drift[worst]), pmin, float(states[:, 1].max())
+
+
+def write_csv_reference(path, header, columns):
+    """Per-value oracle for cli._write_rows: format(x, '.17g') for every cell."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(format(float(x), ".17g") for x in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -8,17 +8,27 @@ import numpy as np
 import pytest
 
 from combcool.cli import (
+    _ROW_CHUNK,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RATES,
+    _write_rows,
     config_lines,
     main,
     parse_axis,
     parse_config_text,
     resolve_scenario,
+    summary_lines,
+    write_spectrum_csv,
 )
 
-from helpers import DESK_OMEGA_L, DESK_OMEGA_MOD
+from helpers import (
+    DESK_OMEGA_L,
+    DESK_OMEGA_MOD,
+    desk_spectrum,
+    desk_train,
+    write_csv_reference,
+)
 
 
 def run_cli(*argv) -> int:
@@ -89,6 +99,36 @@ def test_incomplete_config_file_is_rejected(tmp_path):
     partial = tmp_path / "partial.cfg"
     partial.write_text("train.N = 4\n", encoding="utf-8")
     assert run_cli("run", "--scenario", str(partial), "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "rates.gamma21=nan",
+        "rates.gamma21=inf",
+        "train.rabi_peak=nan",
+        "train.omega_L=inf",
+        "train.T=-inf",
+    ],
+)
+def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
+    code = run_cli(
+        "run", "--scenario", "fig4", "--set", override,
+        "--emit", "summary", "--out", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(override.partition("=")[0]) in err and "finite" in err
+    assert not (tmp_path / "summary.txt").exists()
+
+
+def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "fig4.cfg"
+    run_cli("run", "--scenario", "fig4", "--dump-config", str(path))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("rates.Gamma21 = 0\n", "rates.Gamma21 = NaN\n"), encoding="utf-8")
+    assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "'rates.Gamma21'" in capsys.readouterr().err
 
 
 def test_overrides_change_resolved_values():
@@ -193,6 +233,69 @@ def test_float_17g_round_trip(tmp_path):
             assert format(value, ".17g") == token
 
 
+# --- streaming CSV writer against the per-value oracle ---------------------------
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [0, 1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 1],
+)
+def test_write_rows_matches_per_value_writer(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    scale = 10.0 ** rng.integers(-300, 300, size=(n_rows, 3))
+    block = rng.normal(size=(n_rows, 3)) * scale
+    flat = block.reshape(-1)
+    flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES[: flat.size]
+    _write_rows(tmp_path / "rows.csv", "a,b,c", block)
+    write_csv_reference(tmp_path / "ref.csv", "a,b,c", block.T)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_rows_renders_special_values(tmp_path):
+    _write_rows(tmp_path / "row.csv", "x", np.array([SPECIAL_VALUES]))
+    assert (tmp_path / "row.csv").read_text(encoding="utf-8") == (
+        "x\n0,-0,4.9406564584124654e-324,10000000000000000,inf,-inf,nan,0.33333333333333331\n"
+    )
+
+
+def test_run_files_match_per_value_writers(tmp_path, preset_runs):
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--scenario", "fig4", "--emit", "timeseries,plotdata,summary",
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    traj = preset_runs("fig4")
+    assert traj.n_samples > 2 * _ROW_CHUNK
+    ref = tmp_path / "ref"
+    write_csv_reference(
+        ref / "timeseries.csv",
+        "t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace",
+        (traj.times, *traj.data.T, traj.trace_series),
+    )
+    for column, name in enumerate(("rho11", "rho22", "rho33")):
+        write_csv_reference(
+            ref / "plotdata" / f"{name}.csv", f"t,{name}", (traj.times, traj.data[:, column])
+        )
+    for name in ("timeseries.csv", "plotdata/rho11.csv", "plotdata/rho22.csv", "plotdata/rho33.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    resolved = resolve_scenario("fig4", (), "angular")
+    summary = "\n".join(summary_lines(resolved, traj)) + "\n"
+    assert (out / "summary.txt").read_text(encoding="utf-8") == summary
+
+
+def test_spectrum_csv_matches_per_value_writer(tmp_path):
+    spec = desk_spectrum(desk_train("sine", n_pulses=4))
+    write_spectrum_csv(tmp_path / "spectrum.csv", spec)
+    write_csv_reference(
+        tmp_path / "ref.csv", "omega,intensity", (spec.frequencies, spec.intensities)
+    )
+    assert (tmp_path / "spectrum.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 # --- sweep verb ------------------------------------------------------------------
 
 
@@ -249,6 +352,21 @@ def test_sweep_orders_grid_and_reports_errors_per_row(tmp_path):
         else:
             assert math.isfinite(float(cells[2]))
             assert cells[4] == ""
+
+
+def test_sweep_records_non_finite_value_as_an_error_row(tmp_path, monkeypatch):
+    monkeypatch.setenv("COMB_LAMBDA_THREADS", "1")
+    out = tmp_path / "out"
+    code = run_cli(
+        "sweep", "--scenario", "fig4", "--set", "train.N=3",
+        "--axis1", "rates.gamma21=0,nan", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    _, good, bad = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert good.split(",")[0] == "0" and good.endswith(",")
+    cells = bad.split(",")
+    assert cells[:3] == ["nan", "nan", "nan"]
+    assert cells[3].startswith("ConfigError: key 'rates.gamma21'") and "finite" in cells[3]
 
 
 def test_sweep_is_deterministic_across_worker_counts(tmp_path, monkeypatch):

@@ -21,9 +21,24 @@ from combcool import (
     quantum_yield,
     steady_state_yield,
 )
-from combcool.dynamics import _apply_free, _map_powers, omega_max, resolve_step
+from combcool.dynamics import (
+    IntegrationError,
+    NegativePopulation,
+    _apply_free,
+    _integrate_window,
+    _map_powers,
+    _scan_states,
+    omega_max,
+    resolve_step,
+)
+from combcool.scenarios import get_preset
 
-from helpers import quiet_propagate, random_density_matrix, random_setup
+from helpers import (
+    quiet_propagate,
+    random_density_matrix,
+    random_setup,
+    scan_states_reference,
+)
 
 MIXED_RHO0 = DensityMatrix.from_matrix(
     np.array(
@@ -257,6 +272,85 @@ def test_trace_drift_guard_raises():
             sys_,
             DecoherenceRates.none(),
             IntegratorConfig(trace_tol=1e-16),
+        )
+
+
+# --- per-pulse guards against the row-reduction oracle ------------------------
+
+
+def _scan_outcome(scan, states, times, trace_tol=1e-6, pop_tol=1e-6):
+    """Result bits of one scan, or the class and message of its guard error."""
+    try:
+        result = scan(states, times, trace_tol, pop_tol)
+    except IntegrationError as exc:
+        return type(exc), str(exc)
+    return np.array(result).view(np.int64).tolist()
+
+
+def _fig3_window_states():
+    preset = get_preset("fig3")
+    w = preset.icfg.window_sigmas * preset.cfg.tau
+    step = resolve_step(preset.icfg, preset.cfg, preset.sys)
+    s_grid, m_fine = _integrate_window(
+        -w, w, step, preset.cfg, preset.sys, preset.rates, np.eye(9), preset.icfg
+    )
+    return m_fine @ MIXED_RHO0.to_vector(), 3.0 * preset.cfg.T + s_grid
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_states_matches_row_reduction_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3000))
+    states = rng.normal(size=(n, 9))
+    states[:, :3] = rng.uniform(-1e-7, 1.0, size=(n, 3))
+    states[:, :3] /= states[:, :3].sum(axis=1, keepdims=True)
+    times = np.cumsum(rng.uniform(0.01, 1.0, size=n))
+    expected = _scan_outcome(scan_states_reference, states, times)
+    assert isinstance(expected, list)
+    assert _scan_outcome(_scan_states, states, times) == expected
+
+
+def test_scan_states_matches_row_reduction_on_a_fig3_window():
+    states, times = _fig3_window_states()
+    expected = _scan_outcome(scan_states_reference, states, times)
+    assert isinstance(expected, list)
+    assert _scan_outcome(_scan_states, states, times) == expected
+
+
+@pytest.mark.parametrize(
+    "row, pops, error",
+    [
+        (17, (0.7, 0.3 + 2e-6, 0.0), TraceDrift),
+        (0, (1.0, 0.0, -1e-9), TraceDrift),  # drift of 1e-9 against trace_tol 1e-10
+        (40, (0.6, 0.41, -0.01), NegativePopulation),
+        (63, (1.02, -0.015, -0.005), NegativePopulation),
+    ],
+)
+def test_scan_states_raises_like_row_reduction(row, pops, error):
+    states, times = _fig3_window_states()
+    states = states[:64].copy()
+    states[row, :3] = pops
+    trace_tol = 1e-10 if row == 0 else 1e-6
+    expected = _scan_outcome(scan_states_reference, states, times, trace_tol)
+    assert expected[0] is error
+    assert f"t = {times[row]:g}" in expected[1]
+    assert _scan_outcome(_scan_states, states, times, trace_tol) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scan_states_treats_non_finite_populations_as_trace_drift(bad):
+    states = np.tile(DensityMatrix.pure(1).to_vector(), (8, 1))
+    states[5, 1] = bad
+    with pytest.raises(TraceDrift, match="at t = 5;"):
+        _scan_states(states, np.arange(8.0), 1e-6, 1e-6)
+
+
+def test_nan_rate_stops_propagation_with_trace_drift():
+    sys_ = LevelSystem.from_transitions(3.0, 4.0)
+    cfg = PulseTrainConfig(rabi_peak=0.8, omega_L=4.0, tau=0.3, T=25.0, N=4)
+    with pytest.raises(TraceDrift, match="nan"):
+        propagate(
+            DensityMatrix.pure(1), cfg, sys_, DecoherenceRates(gamma21=math.nan)
         )
 
 
