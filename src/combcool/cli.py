@@ -68,6 +68,8 @@ EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_RATES = 4
 
+_RATE_FLAGS = ("gamma21", "gamma23", "Gamma21", "Gamma31", "Gamma23")
+
 EMIT_CHOICES = ("timeseries", "summary", "spectrum", "plotdata")
 DEFAULT_EMIT = ("timeseries", "summary")
 OBJECTIVES = ("final_yield", "steady_yield", "max_rho22")
@@ -200,14 +202,19 @@ def _coerce(raw: str, current, dotted: str):
     if current is None or isinstance(current, float):
         if raw.lower() == "none":
             return None
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"key {dotted!r}: expected a number, got {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"key {dotted!r}: expected a finite number, got {raw!r}")
-        return value
+        return _finite_float(raw, f"key {dotted!r}")
     return raw
+
+
+def _finite_float(raw: str, what: str) -> float:
+    """Parse a finite float; what names the key or flag in the error."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{what}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what}: expected a finite number, got {raw!r}")
+    return value
 
 
 def set_config_key(tree: dict, dotted: str, raw: str) -> None:
@@ -756,11 +763,7 @@ def cmd_validate_rates(args) -> int:
     else:
         try:
             rates = DecoherenceRates(
-                gamma21=args.gamma21,
-                gamma23=args.gamma23,
-                Gamma21=args.Gamma21,
-                Gamma31=args.Gamma31,
-                Gamma23=args.Gamma23,
+                **{name: _finite_float(getattr(args, name), f"--{name}") for name in _RATE_FLAGS}
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -947,11 +950,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument(
         "--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION
     )
-    p_rates.add_argument("--gamma21", type=float, default=0.0)
-    p_rates.add_argument("--gamma23", type=float, default=0.0)
-    p_rates.add_argument("--Gamma21", type=float, default=0.0)
-    p_rates.add_argument("--Gamma31", type=float, default=0.0)
-    p_rates.add_argument("--Gamma23", type=float, default=0.0)
+    # rates stay strings here so that _finite_float can reject NaN and inf
+    for name in _RATE_FLAGS:
+        p_rates.add_argument(f"--{name}", default="0")
     p_rates.add_argument(
         "--mode", choices=("enforce", "warn", "off"), default="enforce"
     )

@@ -21,13 +21,16 @@ decoherence part has the closed form used by free_evolution, so propagation
 is piecewise: dense explicit integration inside each pulse window, one
 analytic map across each gap.
 
+Inside a window the equations are linear, so each fixed RK4 step is a 9x9
+step map, formed in stacked products and applied in order.
+
 Because the train is phase locked, every pulse generates the identical
 superoperator in pulse-local time.  The propagator therefore integrates the
 9x9 real generator once per distinct window shape and reuses the resulting
 linear maps for all pulses (the equations are linear in rho, so this is
-algebraically identical to integrating each pulse separately).  The direct
-per-pulse path is kept behind IntegratorConfig.reuse_pulse_map for
-cross-checking.
+algebraically identical to integrating each pulse separately), in blocks of
+pulses within a fixed byte budget of fine states.  The direct per-pulse path
+is kept behind IntegratorConfig.reuse_pulse_map for cross-checking.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ STEP_SAFETY = 0.02
 STEP_CAP_FRACTION = 1.0 / 20.0
 
 _RK4_CHUNK = 2048
+
+#: RK4 step maps formed per batched product; bounds the 9x9 stacks in memory.
+_STEP_MAP_CHUNK = 256
+
+#: Byte budget of the fine states formed per block of pulses.
+_BLOCK_BYTES = 1 << 20
 
 _METHODS = ("rk4", "rk45")
 
@@ -396,8 +405,11 @@ def _integrate_window(
     """Integrate v' = L(s) v (or M' = L M for matrix x0) over one window.
 
     Returns (s_grid, x_fine) with x_fine[i] the solution at s_grid[i].  The
-    fixed-step path is classic RK4 with the generator prebuilt in chunks; the
-    adaptive path delegates to scipy's RK45 and evaluates on the same grid.
+    fixed-step path is classic RK4 as step maps S_i = I + h/6 (K1 + 2 K2 +
+    2 K3 + K4), with K1 = L(s_i), K2 = L_mid (I + h/2 K1), K3 = L_mid
+    (I + h/2 K2) and K4 = L(s_i+1) (I + h K3), formed as stacked 9x9 products
+    _STEP_MAP_CHUNK steps at a time and applied in order, x_i+1 = S_i x_i.
+    The adaptive path delegates to scipy's RK45 on the same grid.
     """
     length = s_hi - s_lo
     if not length > 0.0:
@@ -431,25 +443,21 @@ def _integrate_window(
 
     x_fine = np.empty((n + 1,) + x0.shape)
     x_fine[0] = x0
-    x = x0.astype(float, copy=True)
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
+    eye = np.eye(9)
     for start in range(0, n, _RK4_CHUNK):
         stop = min(start + _RK4_CHUNK, n)
-        nodes = s_lo + h * np.arange(start, stop + 1)
-        mids = s_lo + h * (np.arange(start, stop) + 0.5)
-        L_grid = _generator_matrices(nodes, cfg, sys, rates)
-        L_mid = _generator_matrices(mids, cfg, sys, rates)
-        for i in range(stop - start):
-            l0 = L_grid[i]
-            lm = L_mid[i]
-            l1 = L_grid[i + 1]
-            k1 = l0 @ x
-            k2 = lm @ (x + half_h * k1)
-            k3 = lm @ (x + half_h * k2)
-            k4 = l1 @ (x + h * k3)
-            x = x + sixth_h * (k1 + 2.0 * (k2 + k3) + k4)
-            x_fine[start + i + 1] = x
+        L_grid = _generator_matrices(s_lo + h * np.arange(start, stop + 1), cfg, sys, rates)
+        L_mid = _generator_matrices(s_lo + h * (np.arange(start, stop) + 0.5), cfg, sys, rates)
+        for lo in range(0, stop - start, _STEP_MAP_CHUNK):
+            hi = min(lo + _STEP_MAP_CHUNK, stop - start)
+            k1 = L_grid[lo:hi]
+            k2 = L_mid[lo:hi] @ (eye + (0.5 * h) * k1)
+            k3 = L_mid[lo:hi] @ (eye + (0.5 * h) * k2)
+            k4 = L_grid[lo + 1:hi + 1] @ (eye + h * k3)
+            step_maps = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            done = x_fine[start + lo:start + hi + 1]
+            for s_map, x, x_next in zip(step_maps, done, done[1:]):
+                np.matmul(s_map, x, out=x_next)
     return s_grid, x_fine
 
 
@@ -508,8 +516,17 @@ def propagate(
     trajectory starts at -w and ends at (N-1) T + w, the end of the last
     integrated window (or earlier if the early-stop criterion fires).
 
+    With map reuse, pulses after the first run in blocks whose fine states
+    fit _BLOCK_BYTES (72 bytes per fine step and pulse).  Pulse-start states
+    are carried along the block with the pulse-end map and the gap map, and
+    the early-stop rule reads the carried pulse ends.  One matrix product
+    with the flattened window map then gives every fine state of the block;
+    each pulse's last row is its carried end, the state the next gap map
+    acts on.
+
     Every internal integration step is scanned for trace drift and negative
-    populations; the trace is never renormalized.
+    populations, a block at a time and pulse by pulse on a failure, so the
+    error names the first failing pulse; the trace is never renormalized.
     """
     icfg = icfg if icfg is not None else IntegratorConfig()
     if abs(trace(rho0) - 1.0) > 1e-12:
@@ -527,24 +544,23 @@ def propagate(
     angles = _interpulse_angles(T, sys) if icfg.interpulse_phases else None
     # Pulse-local window bounds.  The first window is always [-w, w]; interior
     # windows lose their leading edge to the previous window when 2w > T.
-    interior_lo = max(-w, w - T)
-    spans = {0: (-w, w)}
-    interior_span = (interior_lo, w)
+    interior_span = (max(-w, w - T), w)
 
     use_maps = icfg.reuse_pulse_map and N >= 3
-    window_cache: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
     if use_maps:
-        eye = np.eye(9)
-        for span in {(-w, w), interior_span} if N > 1 else {(-w, w)}:
-            s_grid, m_fine = _integrate_window(
-                span[0], span[1], step, cfg, sys, rates, eye, icfg
-            )
-            window_cache[span] = (s_grid, m_fine)
+        window_cache = {
+            span: _integrate_window(*span, step, cfg, sys, rates, np.eye(9), icfg)
+            for span in {(-w, w), interior_span}
+        }
 
+    n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
+    gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
+    gap_parts = [None if angles is None else tuple(a * dt / gap for a in angles) for dt in gap_dts]
+    tols = (icfg.trace_tol, icfg.pop_tol)
     v = rho0.to_vector()
     times_chunks: list[np.ndarray] = []
     data_chunks: list[np.ndarray] = []
-    pulse_end_indices: list[int] = []
+    end_chunks: list[np.ndarray] = []
     n_recorded = 0
     max_drift = 0.0
     min_pop = float(v[:3].min())
@@ -552,71 +568,69 @@ def propagate(
     prev_pops: np.ndarray | None = None
     stable_run = 0
     stopped_early = False
-    pulses_run = 0
-    # recorded fine indices per (window steps, window starts where the last ended)
-    selections: dict[tuple[int, bool], np.ndarray] = {}
+    k = 0
 
-    for k in range(N):
-        span = spans.get(k, interior_span)
+    while k < N and not stopped_early:
+        span = (-w, w) if k == 0 else interior_span
         if use_maps:
             s_grid, m_fine = window_cache[span]
-            states_fine = m_fine @ v
+            # pulse 0 runs alone: its window and its recorded rows may differ
+            block = 1 if k == 0 else min(N - k, max(1, _BLOCK_BYTES // (72 * s_grid.size)))
         else:
-            s_grid, states_fine = _integrate_window(
-                span[0], span[1], step, cfg, sys, rates, v, icfg
-            )
-        abs_times = k * T + s_grid
-        drift, pmin, p2max = _scan_states(states_fine, abs_times, icfg.trace_tol, icfg.pop_tol)
+            s_grid, fine = _integrate_window(*span, step, cfg, sys, rates, v, icfg)
+            block = 1
+        starts, ends = np.empty((2, block, 9))
+        for b in range(block):
+            starts[b] = v
+            v = ends[b] = m_fine[-1] @ v if use_maps else fine[-1]
+            if icfg.early_stop_pulses:
+                moved = np.inf if prev_pops is None else np.abs(v[:3] - prev_pops).max()
+                stable_run = stable_run + 1 if moved < icfg.early_stop_tol else 0
+                prev_pops = v[:3]
+                if stable_run >= icfg.early_stop_pulses:
+                    stopped_early = True
+                    break
+            if k + b < N - 1 and (gap > 0.0 or angles is not None):
+                v = _apply_free(v, gap, rates, angles)
+        n_block = b + 1
+        if use_maps:
+            states = (starts[:n_block] @ m_fine.reshape(-1, 9).T).reshape(n_block, -1, 9)
+            # the recorded pulse end is exactly the state the next gap map acts on
+            states[:, -1] = ends[:n_block]
+        else:
+            states = fine[None]
+        starts_t = (k + np.arange(n_block))[:, None] * T
+        abs_times = starts_t + s_grid
+        try:
+            drift, pmin, p2max = _scan_states(states.reshape(-1, 9), abs_times.ravel(), *tols)
+        except IntegrationError:
+            # name the first failing pulse, as a pulse-by-pulse scan would
+            for pulse_states, pulse_times in zip(states, abs_times):
+                _scan_states(pulse_states, pulse_times, *tols)
+            raise
         max_drift = max(max_drift, drift)
         min_pop = min(min_pop, pmin)
         max_rho22 = max(max_rho22, p2max)
-        v = states_fine[-1].copy()
 
-        n_fine = s_grid.size - 1
-        # a later window with no gap starts exactly where the previous one ended
-        joined = k > 0 and gap == 0.0
-        sel = selections.get((n_fine, joined))
-        if sel is None:
-            sel = np.arange(0, n_fine + 1, icfg.sampler_stride)
-            if sel[-1] != n_fine:
-                sel = np.append(sel, n_fine)
-            if joined:
-                sel = sel[sel > 0]
-            selections[n_fine, joined] = sel
-        times_chunks.append(abs_times[sel])
-        data_chunks.append(states_fine[sel])
-        n_recorded += sel.size
-        pulse_end_indices.append(n_recorded - 1)
-        pulses_run = k + 1
-
-        pops = v[:3].copy()
-        if prev_pops is not None and np.abs(pops - prev_pops).max() < icfg.early_stop_tol:
-            stable_run += 1
-        else:
-            stable_run = 0
-        prev_pops = pops
-        if icfg.early_stop_pulses and stable_run >= icfg.early_stop_pulses:
-            stopped_early = True
-            break
-
-        if k < N - 1:
-            if gap > 0.0 and icfg.gap_samples:
-                g_times = np.empty(icfg.gap_samples)
-                g_states = np.empty((icfg.gap_samples, 9))
-                for j in range(1, icfg.gap_samples + 1):
-                    dt_j = j * gap / (icfg.gap_samples + 1)
-                    part = (
-                        tuple(a * dt_j / gap for a in angles)
-                        if angles is not None
-                        else None
-                    )
-                    g_times[j - 1] = k * T + w + dt_j
-                    g_states[j - 1] = _apply_free(v, dt_j, rates, part)
-                times_chunks.append(g_times)
-                data_chunks.append(g_states)
-                n_recorded += icfg.gap_samples
-            if gap > 0.0 or angles is not None:
-                v = _apply_free(v, gap, rates, angles)
+        sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)
+        if k > 0 and gap == 0.0:
+            # a later window with no gap starts exactly where the previous one ended
+            sel = sel[1:]
+        rows, row_times = states[:, sel], abs_times[:, sel]
+        # the last pulse of the train, or the one that stopped it, has no gap
+        n_gapped = n_block if k + n_block < N and not stopped_early else n_block - 1
+        gap_states = np.empty((n_block, n_gap_samples, 9))
+        for b in range(n_gapped):
+            for j, (dt, part) in enumerate(zip(gap_dts, gap_parts)):
+                gap_states[b, j] = _apply_free(states[b, -1], dt, rates, part)
+        rows = np.concatenate((rows, gap_states), axis=1)
+        row_times = np.concatenate((row_times, starts_t + w + gap_dts), axis=1)
+        n_rows = n_block * rows.shape[1] - (n_block - n_gapped) * n_gap_samples
+        data_chunks.append(rows.reshape(-1, 9)[:n_rows])
+        times_chunks.append(row_times.ravel()[:n_rows])
+        end_chunks.append(n_recorded + sel.size - 1 + rows.shape[1] * np.arange(n_block))
+        n_recorded += n_rows
+        k += n_block
 
     times = np.concatenate(times_chunks)
     data = np.concatenate(data_chunks)
@@ -625,7 +639,7 @@ def propagate(
         "trace_max_drift": max_drift,
         "min_population": min_pop,
         "max_rho22": max_rho22,
-        "pulses_run": pulses_run,
+        "pulses_run": k,
         "early_stopped": stopped_early,
         "mode": "map_reuse" if use_maps else "direct",
         "t_begin": float(times[0]),
@@ -634,7 +648,7 @@ def propagate(
     return Trajectory(
         times=times,
         data=data,
-        pulse_end_indices=np.asarray(pulse_end_indices),
+        pulse_end_indices=np.concatenate(end_chunks),
         metadata=metadata,
     )
 

@@ -29,7 +29,10 @@ from combcool.dynamics import (
     NegativePopulation,
     TraceDrift,
     _apply_free,
+    _generator_matrices,
+    _integrate_window,
     _interpulse_angles,
+    resolve_step,
 )
 
 # --- desk-scale comb surrogate (dimensionless units) -----------------------
@@ -194,3 +197,87 @@ def write_csv_reference(path, header, columns):
         lines.append(",".join(format(float(x), ".17g") for x in row))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def integrate_window_reference(s_lo, s_hi, step, cfg, sys_, rates, x0):
+    """Per-step oracle for the fixed-step path of dynamics._integrate_window.
+
+    Classic RK4 on v' = L(s) v (or M' = L M), one step at a time with four
+    generator products, on the same grid.
+    """
+    length = s_hi - s_lo
+    n = max(1, int(math.ceil(length / step)))
+    h = length / n
+    s_grid = s_lo + h * np.arange(n + 1)
+    L_grid = _generator_matrices(s_grid, cfg, sys_, rates)
+    L_mid = _generator_matrices(s_lo + h * (np.arange(n) + 0.5), cfg, sys_, rates)
+    x_fine = np.empty((n + 1,) + x0.shape)
+    x_fine[0] = x = x0
+    for i in range(n):
+        k1 = L_grid[i] @ x
+        k2 = L_mid[i] @ (x + 0.5 * h * k1)
+        k3 = L_mid[i] @ (x + 0.5 * h * k2)
+        k4 = L_grid[i + 1] @ (x + h * k3)
+        x = x_fine[i + 1] = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return s_grid, x_fine
+
+
+def propagate_reference(rho0, cfg, sys_, rates, icfg):
+    """Per-pulse oracle for the map-reuse path of dynamics.propagate.
+
+    Applies the stacked window map (m_fine @ v) one pulse at a time: scan
+    the pulse with scan_states_reference, record it, check the early-stop
+    rule, then record the gap samples and cross the gap.  Returns (times,
+    data, pulse_end_indices, pulses_run, early_stopped).
+    """
+    step = resolve_step(icfg, cfg, sys_)
+    w = icfg.window_sigmas * cfg.tau
+    T, N = cfg.T, cfg.N
+    gap = max(T - 2.0 * w, 0.0)
+    angles = _interpulse_angles(T, sys_) if icfg.interpulse_phases else None
+    interior = (max(-w, w - T), w)
+    maps = {
+        span: _integrate_window(*span, step, cfg, sys_, rates, np.eye(9), icfg)
+        for span in {(-w, w), interior}
+    }
+    v = rho0.to_vector()
+    times, data, ends = [], [], []
+    n_recorded, prev_pops, stable_run, stopped = 0, None, 0, False
+    for k in range(N):
+        s_grid, m_fine = maps[(-w, w) if k == 0 else interior]
+        states = m_fine @ v
+        abs_times = k * T + s_grid
+        scan_states_reference(states, abs_times, icfg.trace_tol, icfg.pop_tol)
+        v = states[-1].copy()
+        n_fine = s_grid.size - 1
+        sel = np.arange(0, n_fine + 1, icfg.sampler_stride)
+        if sel[-1] != n_fine:
+            sel = np.append(sel, n_fine)
+        if k > 0 and gap == 0.0:
+            sel = sel[sel > 0]
+        times.append(abs_times[sel])
+        data.append(states[sel])
+        n_recorded += sel.size
+        ends.append(n_recorded - 1)
+
+        pops = v[:3].copy()
+        if prev_pops is not None and np.abs(pops - prev_pops).max() < icfg.early_stop_tol:
+            stable_run += 1
+        else:
+            stable_run = 0
+        prev_pops = pops
+        if icfg.early_stop_pulses and stable_run >= icfg.early_stop_pulses:
+            stopped = True
+            break
+
+        if k < N - 1:
+            if gap > 0.0:
+                for j in range(1, icfg.gap_samples + 1):
+                    dt = j * gap / (icfg.gap_samples + 1)
+                    part = None if angles is None else tuple(a * dt / gap for a in angles)
+                    times.append(np.array([k * T + w + dt]))
+                    data.append(_apply_free(v, dt, rates, part)[None])
+                    n_recorded += 1
+            if gap > 0.0 or angles is not None:
+                v = _apply_free(v, gap, rates, angles)
+    return np.concatenate(times), np.concatenate(data), np.asarray(ends), k + 1, stopped

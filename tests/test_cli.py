@@ -1,6 +1,7 @@
 """CLI tests: exit codes, file formats, round-trips, determinism."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -486,6 +487,24 @@ def test_validate_rates_verb_scenario_and_modes(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--gamma21", "nan"),
+        ("--gamma23", "inf"),
+        ("--gamma21", "-inf"),
+        ("--Gamma21", "nan"),
+        ("--Gamma23", "inf"),
+        ("--Gamma31", "-inf"),
+    ],
+)
+def test_validate_rates_rejects_non_finite_flag(capsys, flag, value):
+    assert run_cli("validate-rates", f"{flag}={value}") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert f"{flag}: expected a finite number" in captured.err
+
+
 # --- calibrate verb ------------------------------------------------------------------
 
 
@@ -514,3 +533,22 @@ def test_python_dash_m_entry_point(tmp_path, subprocess_pythonpath):
     )
     assert proc.returncode == 0, proc.stderr
     assert "fig6cos" in proc.stdout
+
+
+def test_run_outputs_are_identical_across_blas_thread_counts(tmp_path, subprocess_pythonpath):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "combcool", "run", "--scenario", "fig4",
+                "--set", "train.N=12", "--emit", "timeseries,summary", "--out", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["summary.txt", "timeseries.csv"]
+    assert outputs[0] == outputs[1]

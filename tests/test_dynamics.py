@@ -1,6 +1,7 @@
 """Integrator tests: analytic oracles, invariants, convergence, guards."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,11 +22,15 @@ from combcool import (
     quantum_yield,
     steady_state_yield,
 )
+from combcool import dynamics
 from combcool.dynamics import (
+    _RK4_CHUNK,
+    _STEP_MAP_CHUNK,
     IntegrationError,
     NegativePopulation,
     _apply_free,
     _integrate_window,
+    _interpulse_angles,
     _map_powers,
     _scan_states,
     omega_max,
@@ -34,6 +39,11 @@ from combcool.dynamics import (
 from combcool.scenarios import get_preset
 
 from helpers import (
+    DESK_OMEGA_L,
+    DESK_OMEGA_MOD,
+    desk_train,
+    integrate_window_reference,
+    propagate_reference,
     quiet_propagate,
     random_density_matrix,
     random_setup,
@@ -352,6 +362,172 @@ def test_nan_rate_stops_propagation_with_trace_drift():
         propagate(
             DensityMatrix.pure(1), cfg, sys_, DecoherenceRates(gamma21=math.nan)
         )
+
+
+# --- batched RK4 step maps against the per-step loop ---------------------------
+
+
+def _preset_window(name):
+    """Leading arguments of _integrate_window for a preset's first window."""
+    preset = get_preset(name)
+    w = preset.icfg.window_sigmas * preset.cfg.tau
+    step = resolve_step(preset.icfg, preset.cfg, preset.sys)
+    return (-w, w, step, preset.cfg, preset.sys, preset.rates), preset.icfg
+
+
+def _assert_window_matches_reference(args, icfg, x0, atol=1e-13):
+    s_grid, x_fine = _integrate_window(*args, x0, icfg)
+    ref_grid, ref_fine = integrate_window_reference(*args, x0)
+    assert s_grid.tobytes() == ref_grid.tobytes()
+    assert x_fine.shape == ref_fine.shape
+    np.testing.assert_allclose(x_fine, ref_fine, rtol=0.0, atol=atol)
+    return s_grid
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_window_map_matches_per_step_rk4(name):
+    _assert_window_matches_reference(*_preset_window(name), np.eye(9))
+
+
+def test_window_state_matches_per_step_rk4():
+    _assert_window_matches_reference(*_preset_window("fig4"), MIXED_RHO0.to_vector())
+
+
+def test_desk_window_map_matches_per_step_rk4():
+    _, cfg, sys_, rates, icfg = _desk_run(4)
+    w = icfg.window_sigmas * cfg.tau
+    args = (-w, w, resolve_step(icfg, cfg, sys_), cfg, sys_, rates)
+    _assert_window_matches_reference(args, icfg, np.eye(9))
+
+
+def test_desk_comb_window_map_matches_per_step_rk4():
+    cfg = desk_train("sine")
+    sys_ = LevelSystem.from_transitions(DESK_OMEGA_MOD, DESK_OMEGA_L)
+    rates = DecoherenceRates(0.01, 0.02, 0.01, 0.005, 0.015)
+    icfg = IntegratorConfig()
+    w = icfg.window_sigmas * cfg.tau
+    step = resolve_step(icfg, cfg, sys_)
+    n = math.ceil(2.0 * w / step)
+    assert n > 10 * _RK4_CHUNK  # many generator chunks
+    # Both orders round once per step, so over n steps they may part by n * eps.
+    _assert_window_matches_reference(
+        (-w, w, step, cfg, sys_, rates), icfg, np.eye(9), atol=n * np.finfo(float).eps
+    )
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, _STEP_MAP_CHUNK - 1, _STEP_MAP_CHUNK, _STEP_MAP_CHUNK + 1,
+     _RK4_CHUNK - 1, _RK4_CHUNK, _RK4_CHUNK + 1],
+)
+def test_window_map_chunk_boundaries(n):
+    (s_lo, _, step, *rest), icfg = _preset_window("fig4")
+    args = (s_lo, s_lo + (n - 0.5) * step, step, *rest)
+    s_grid = _assert_window_matches_reference(args, icfg, np.eye(9))
+    assert s_grid.size == n + 1
+
+
+# --- pulse blocks against the per-pulse map loop --------------------------------
+
+
+def _desk_run(n_pulses, period=25.0, **icfg_fields):
+    sys_ = LevelSystem.from_transitions(3.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cfg = PulseTrainConfig(rabi_peak=0.8, omega_L=4.0, tau=0.3, T=period, N=n_pulses)
+    rates = DecoherenceRates(gamma21=0.001, gamma23=0.001, Gamma21=0.001, Gamma31=0.0, Gamma23=0.001)
+    return MIXED_RHO0, cfg, sys_, rates, IntegratorConfig(**icfg_fields)
+
+
+def _set_block_pulses(monkeypatch, cfg, sys_, icfg, pulses):
+    """Shrink the byte budget so interior pulses run `pulses` to a block."""
+    w = icfg.window_sigmas * cfg.tau
+    steps = math.ceil((w - max(-w, w - cfg.T)) / resolve_step(icfg, cfg, sys_))
+    monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 72 * (steps + 1) * pulses)
+
+
+def _assert_matches_pulse_loop(rho0, cfg, sys_, rates, icfg):
+    traj = quiet_propagate(rho0, cfg, sys_, rates, icfg)
+    times, data, ends, pulses_run, stopped = propagate_reference(rho0, cfg, sys_, rates, icfg)
+    assert traj.times.tobytes() == times.tobytes()
+    np.testing.assert_array_equal(traj.pulse_end_indices, ends)
+    diag = traj.metadata["diagnostics"]
+    assert (diag["pulses_run"], diag["early_stopped"]) == (pulses_run, stopped)
+    np.testing.assert_allclose(traj.data, data, rtol=0.0, atol=1e-10)
+    return traj
+
+
+@pytest.mark.parametrize(
+    "period, icfg_fields",
+    [
+        (25.0, {}),
+        (25.0, {"gap_samples": 0}),
+        (25.0, {"gap_samples": 3, "interpulse_phases": True}),
+        (3.3, {}),  # windows overlap: no gap, later windows start where the last ended
+        (3.3, {"interpulse_phases": True}),
+    ],
+)
+def test_pulse_blocks_match_per_pulse_loop(monkeypatch, period, icfg_fields):
+    run = _desk_run(15, period, **icfg_fields)
+    _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)  # blocks 1+4+4+4+2
+    traj = _assert_matches_pulse_loop(*run)
+    assert traj.metadata["diagnostics"]["pulses_run"] == 15
+
+
+def test_early_stop_fires_mid_block_like_per_pulse_loop(monkeypatch):
+    sys_ = LevelSystem.from_transitions(3.0, 4.0)
+    cfg = PulseTrainConfig(rabi_peak=0.0, omega_L=4.0, tau=0.3, T=20.0, N=60)
+    rates = DecoherenceRates(gamma21=0.5, gamma23=0.5, Gamma21=0.5, Gamma31=0.5, Gamma23=1.0)
+    icfg = IntegratorConfig(early_stop_pulses=5, early_stop_tol=1e-9)
+    _set_block_pulses(monkeypatch, cfg, sys_, icfg, 4)
+    stop = propagate_reference(DensityMatrix.pure(2), cfg, sys_, rates, icfg)[3]
+    assert 5 <= stop - 1 < 8  # the stopping pulse is inside the block 5..8, not its end
+    traj = _assert_matches_pulse_loop(DensityMatrix.pure(2), cfg, sys_, rates, icfg)
+    assert traj.metadata["diagnostics"]["early_stopped"]
+    assert traj.pulse_end_indices[-1] == traj.n_samples - 1
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig6cos"])
+def test_preset_pulse_blocks_match_per_pulse_loop(name):
+    preset = get_preset(name)
+    _assert_matches_pulse_loop(preset.rho0, preset.cfg, preset.sys, preset.rates, preset.icfg)
+
+
+@pytest.mark.parametrize("phases", [False, True])
+def test_pulse_end_row_is_the_state_the_gap_map_acts_on(monkeypatch, phases):
+    rho0, cfg, sys_, rates, icfg = _desk_run(15, interpulse_phases=phases)
+    _set_block_pulses(monkeypatch, cfg, sys_, icfg, 4)
+    traj = quiet_propagate(rho0, cfg, sys_, rates, icfg)
+    gap = cfg.T - 2.0 * icfg.window_sigmas * cfg.tau
+    angles = _interpulse_angles(cfg.T, sys_) if phases else None
+    for end in traj.pulse_end_indices[:-1]:
+        carried = _apply_free(traj.data[end], gap, rates, angles)
+        assert carried.tobytes() == traj.data[end + icfg.gap_samples + 1].tobytes()
+
+
+def test_guard_names_the_first_failing_pulse_of_a_block(monkeypatch):
+    rho0, cfg, sys_, rates, icfg = _desk_run(15)
+    _set_block_pulses(monkeypatch, cfg, sys_, icfg, 4)
+    generator = dynamics._generator_matrices
+
+    def leaky_generator(*args):
+        L = generator(*args)
+        L[:, 1, 1] -= 1e-7  # rho22 leaks out of the trace at a known rate
+        return L
+
+    monkeypatch.setattr(dynamics, "_generator_matrices", leaky_generator)
+    loose = replace(icfg, trace_tol=1.0)
+    data, ends = propagate_reference(rho0, cfg, sys_, rates, loose)[1:3]
+    drifts = np.abs(data[ends, :3].sum(axis=1) - 1.0)
+    assert np.all(np.diff(drifts) > 0)
+    # pulse 6 is the second pulse of the block 5..8
+    tight = replace(icfg, trace_tol=math.sqrt(drifts[5] * drifts[6]))
+    with pytest.raises(TraceDrift) as expected:
+        propagate_reference(rho0, cfg, sys_, rates, tight)
+    with pytest.raises(TraceDrift) as raised:
+        propagate(rho0, cfg, sys_, rates, tight)
+    assert str(raised.value) == str(expected.value)
+    assert f"t = {6 * cfg.T + icfg.window_sigmas * cfg.tau:g};" in str(raised.value)
 
 
 def test_resolve_step_tracks_fastest_frequency():
