@@ -38,8 +38,11 @@ from .core import (
     DecoherenceRates,
     DensityMatrix,
     LevelSystem,
+    RateCheckMode,
     RateRelationViolation,
     Trajectory,
+    config_tree,
+    validate_rates,
 )
 from .dynamics import (
     IntegrationError,
@@ -51,13 +54,11 @@ from .dynamics import (
 from .field import Modulation, PulseTrainConfig
 from .scenarios import (
     PRESET_NAMES,
-    RateCheckMode,
     ScenarioPreset,
     calibrate_fig4,
     evaluate_expectations,
     get_preset,
     transfer_pulse,
-    validate_rates,
 )
 from . import spectrum as spectrum_mod
 
@@ -85,64 +86,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Flat configuration trees
 # ---------------------------------------------------------------------------
-
-
-def _tree_from_objects(
-    sys_: LevelSystem,
-    cfg: PulseTrainConfig,
-    rates: DecoherenceRates,
-    icfg: IntegratorConfig,
-    rho0: DensityMatrix,
-) -> dict:
-    """Nested plain-dict image of a fully resolved configuration."""
-    return {
-        "system": {
-            "omega21": sys_.omega21,
-            "omega32": sys_.omega32,
-            "omega31": sys_.omega31,
-        },
-        "train": {
-            "rabi_peak": cfg.rabi_peak,
-            "omega_L": cfg.omega_L,
-            "tau": cfg.tau,
-            "T": cfg.T,
-            "N": cfg.N,
-            "phi": cfg.phi,
-            "E0": cfg.E0,
-            "envelope_prefactor": cfg.envelope_prefactor,
-            "modulation": {
-                "kind": cfg.modulation.kind,
-                "amplitude": cfg.modulation.amplitude,
-                "frequency": cfg.modulation.frequency,
-            },
-        },
-        "rates": {
-            "gamma21": rates.gamma21,
-            "gamma23": rates.gamma23,
-            "Gamma21": rates.Gamma21,
-            "Gamma31": rates.Gamma31,
-            "Gamma23": rates.Gamma23,
-            "enforce_relation": rates.enforce_relation,
-        },
-        "integrator": {
-            "method": icfg.method,
-            "step_in_pulse": icfg.step_in_pulse,
-            "sampler_stride": icfg.sampler_stride,
-            "window_sigmas": icfg.window_sigmas,
-            "abs_tol": icfg.abs_tol,
-            "rel_tol": icfg.rel_tol,
-            "gap_samples": icfg.gap_samples,
-            "trace_tol": icfg.trace_tol,
-            "pop_tol": icfg.pop_tol,
-            "reuse_pulse_map": icfg.reuse_pulse_map,
-            "early_stop_pulses": icfg.early_stop_pulses,
-            "early_stop_tol": icfg.early_stop_tol,
-            "interpulse_phases": icfg.interpulse_phases,
-        },
-        "rho0": dict(
-            zip(VECTOR_COMPONENTS, (float(x) for x in rho0.to_vector()))
-        ),
-    }
 
 
 def _format_value(value) -> str:
@@ -217,23 +160,28 @@ def _finite_float(raw: str, what: str) -> float:
     return value
 
 
-def set_config_key(tree: dict, dotted: str, raw: str) -> None:
-    """Assign one dotted key; unknown keys are errors, never warnings."""
-    parts = dotted.split(".")
+def _leaf_node(tree: dict, dotted: str) -> tuple[dict, str]:
+    """The dict holding a dotted key's value, and the key's last part."""
+    *parts, leaf = dotted.split(".")
     node = tree
-    for part in parts[:-1]:
+    for part in parts:
         if not isinstance(node, dict) or part not in node:
             raise ConfigError(f"unknown configuration key {dotted!r}")
         node = node[part]
-    leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node or isinstance(node[leaf], dict):
         raise ConfigError(f"unknown configuration key {dotted!r}")
+    return node, leaf
+
+
+def set_config_key(tree: dict, dotted: str, raw: str) -> None:
+    """Assign one dotted key; unknown keys are errors, never warnings."""
+    node, leaf = _leaf_node(tree, dotted)
     node[leaf] = _coerce(raw, node[leaf], dotted)
 
 
 def _template_tree() -> dict:
     """A typed key skeleton for parsing standalone config files."""
-    return _tree_from_objects(
+    return config_tree(
         LevelSystem.from_transitions(1.0, 2.0),
         PulseTrainConfig(rabi_peak=1.0, omega_L=2.0, tau=0.2, T=40.0, N=1),
         DecoherenceRates.none(),
@@ -264,14 +212,11 @@ def objects_from_tree(
     try:
         sys_ = LevelSystem(**tree["system"])
         modulation = Modulation(**tree["train"]["modulation"])
-        train_kwargs = {k: v for k, v in tree["train"].items() if k != "modulation"}
-        cfg = PulseTrainConfig(modulation=modulation, **train_kwargs)
+        cfg = PulseTrainConfig(**{**tree["train"], "modulation": modulation})
         rates = DecoherenceRates(**tree["rates"])
         icfg = IntegratorConfig(**tree["integrator"])
         vector = np.array([tree["rho0"][c] for c in VECTOR_COMPONENTS], dtype=float)
         rho0 = DensityMatrix.from_vector(vector)
-    except RateRelationViolation:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return sys_, cfg, rates, icfg, rho0
@@ -311,9 +256,7 @@ def resolve_scenario(
     preset: ScenarioPreset | None = None
     if scenario in PRESET_NAMES:
         preset = get_preset(scenario, convention)
-        tree = _tree_from_objects(
-            preset.sys, preset.cfg, preset.rates, preset.icfg, preset.rho0
-        )
+        tree = config_tree(preset.sys, preset.cfg, preset.rates, preset.icfg, preset.rho0)
         label = preset.name
     else:
         path = Path(scenario)
@@ -628,11 +571,8 @@ def _sweep_point(payload) -> tuple[float, float, str]:
         for key, raw in assignments:
             set_config_key(point_tree, key, raw)
         sys_, cfg, rates, icfg, rho0 = objects_from_tree(point_tree)
-        report = validate_rates(rates, RateCheckMode.OFF)
-        if rates_mode == "enforce" and not report.within_tolerance:
-            raise RateRelationViolation(report.message)
         traj = propagate(
-            rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True
+            rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=rates_mode != "enforce"
         )
         if objective == "final_yield":
             value = quantum_yield(traj)
@@ -672,11 +612,11 @@ def cmd_sweep(args) -> int:
     axis2 = parse_axis(args.axis2) if args.axis2 else None
     spec = SweepSpec(axis1=axis1, axis2=axis2, objective=args.objective, cap=args.cap)
 
-    # Fail fast on unknown axis keys before launching any work.
-    probe = copy.deepcopy(resolved.tree)
+    # Fail fast on unknown axis keys before launching any work; bad values
+    # are recorded per point, whichever point they fall on.
     for axis in filter(None, (axis1, axis2)):
         for key in axis.keys:
-            set_config_key(probe, key, axis.values[0])
+            _leaf_node(resolved.tree, key)
 
     payloads = []
     for v1 in axis1.values:
@@ -729,7 +669,20 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_spectrum_flags(args) -> None:
+    """Reject spectrum flags outside the range the synthesis can honour."""
+    for flag, ok, wanted in (
+        ("pulses", args.pulses >= 1, "an integer of at least 1"),
+        ("pad", math.isfinite(args.pad) and args.pad >= 1.0, "a finite number of at least 1"),
+        ("margin", math.isfinite(args.margin) and args.margin > 1.0, "a finite number above 1"),
+        ("threshold", 0.0 < args.threshold < 1.0, "a number strictly between 0 and 1"),
+    ):
+        if not ok:
+            raise ConfigError(f"--{flag}: expected {wanted}, got {getattr(args, flag)!r}")
+
+
 def cmd_spectrum(args) -> int:
+    _check_spectrum_flags(args)
     resolved = resolve_scenario(
         args.scenario, tuple(args.set or ()), args.convention
     )
@@ -768,15 +721,9 @@ def cmd_validate_rates(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     report = validate_rates(rates, RateCheckMode.OFF)
-    verdict = "valid" if report.within_tolerance else "violation"
     print(f"deviation = {_g(report.deviation)}")
-    print(f"verdict = {verdict}")
-    if not report.within_tolerance:
-        if args.mode == "enforce":
-            print(f"rate relation violated: {report.message}", file=sys.stderr)
-            return EXIT_RATES
-        if args.mode == "warn":
-            print(f"warning: {report.message}", file=sys.stderr)
+    print(f"verdict = {'valid' if report.within_tolerance else 'violation'}")
+    _check_rates(rates, args.mode)
     return EXIT_OK
 
 

@@ -18,8 +18,10 @@ numerical properties.
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,10 +32,14 @@ __all__ = [
     "DensityMatrix",
     "FrequencyUnit",
     "LevelSystem",
+    "RateCheckMode",
     "RateRelationViolation",
+    "RateReport",
     "Trajectory",
+    "config_tree",
     "hermitian_defect",
     "trace",
+    "validate_rates",
 ]
 
 # Dimensionless-unit conventions for interpreting quoted laboratory values.
@@ -52,7 +58,7 @@ RATE_RELATION_TOL = 1e-12
 
 
 class RateRelationViolation(ValueError):
-    """The dephasing rates break Gamma23 = Gamma21 + Gamma31 while enforcement is on."""
+    """The dephasing rates break Gamma23 = Gamma21 + Gamma31 under enforcement."""
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,8 @@ class DecoherenceRates:
     the corresponding coherences; symmetric index pairs (e.g. Gamma12 and
     Gamma21) are the same physical rate and are stored once.  For elastic
     collisions that leave the 1-3 coherence untouched the rates satisfy
-    Gamma23 = Gamma21 + Gamma31; construction checks this only when
-    enforce_relation is set, propagation checks it unless explicitly waived.
+    Gamma23 = Gamma21 + Gamma31.  Construction does not check this;
+    validate_rates does, and propagation calls it unless explicitly waived.
     """
 
     gamma21: float = 0.0
@@ -149,17 +155,11 @@ class DecoherenceRates:
     Gamma21: float = 0.0
     Gamma31: float = 0.0
     Gamma23: float = 0.0
-    enforce_relation: bool = False
 
     def __post_init__(self) -> None:
         for name in ("gamma21", "gamma23", "Gamma21", "Gamma31", "Gamma23"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if self.enforce_relation and abs(self.relation_deviation()) > RATE_RELATION_TOL:
-            raise RateRelationViolation(
-                f"Gamma23 = {self.Gamma23!r} deviates from Gamma21 + Gamma31 = "
-                f"{self.Gamma21 + self.Gamma31!r} by {self.relation_deviation():.3e}"
-            )
 
     @classmethod
     def none(cls) -> "DecoherenceRates":
@@ -181,6 +181,56 @@ class DecoherenceRates:
             getattr(self, name) != 0.0
             for name in ("gamma21", "gamma23", "Gamma21", "Gamma31", "Gamma23")
         )
+
+
+class RateCheckMode(enum.Enum):
+    """What to do when the additive dephasing relation is violated."""
+
+    ENFORCE = "enforce"
+    WARN = "warn"
+    OFF = "off"
+
+
+@dataclass(frozen=True)
+class RateReport:
+    """Outcome of validate_rates: the signed deviation and the verdict."""
+
+    deviation: float
+    within_tolerance: bool
+    mode: RateCheckMode
+    message: str
+
+
+def validate_rates(
+    rates: DecoherenceRates, mode: RateCheckMode | str = RateCheckMode.ENFORCE
+) -> RateReport:
+    """Check the additive dephasing relation Gamma23 = Gamma21 + Gamma31.
+
+    For dephasing driven by elastic collisions that leave the 1-3 coherence
+    untouched, the three collisional rates are not independent: the 2-3 rate
+    must equal the sum of the other two.  ENFORCE raises
+    RateRelationViolation on violation, WARN emits a warning and returns the
+    report, OFF only records the deviation.
+    """
+    mode = RateCheckMode(mode) if not isinstance(mode, RateCheckMode) else mode
+    deviation = rates.relation_deviation()
+    ok = abs(deviation) <= RATE_RELATION_TOL
+    if ok:
+        message = (
+            f"Gamma23 = Gamma21 + Gamma31 holds (deviation {deviation:.3e})"
+        )
+    else:
+        message = (
+            f"Gamma23 - (Gamma21 + Gamma31) = {deviation:.6g}; the additive "
+            "dephasing relation is violated"
+        )
+        if mode is RateCheckMode.ENFORCE:
+            raise RateRelationViolation(message)
+        if mode is RateCheckMode.WARN:
+            warnings.warn(message, stacklevel=2)
+    return RateReport(
+        deviation=deviation, within_tolerance=ok, mode=mode, message=message
+    )
 
 
 # Component order of the real 9-vector representation used by the integrator.
@@ -225,10 +275,6 @@ class DensityMatrix:
         pops = [0.0, 0.0, 0.0]
         pops[level - 1] = 1.0
         return cls(*pops)
-
-    @classmethod
-    def from_populations(cls, p1: float, p2: float, p3: float) -> "DensityMatrix":
-        return cls(p1, p2, p3)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, defect_tol: float = 1e-12) -> "DensityMatrix":
@@ -280,6 +326,24 @@ class DensityMatrix:
     @property
     def populations(self) -> tuple[float, float, float]:
         return (self.rho11, self.rho22, self.rho33)
+
+
+def config_tree(
+    sys: LevelSystem, cfg, rates: DecoherenceRates, icfg, rho0: DensityMatrix
+) -> dict:
+    """Nested plain-dict image of a fully resolved configuration.
+
+    One section per configuration dataclass (level system, pulse train,
+    rates, integrator), each its dataclasses.asdict image, so every field
+    is in the schema by construction; rho0 is keyed by VECTOR_COMPONENTS.
+    """
+    return {
+        "system": asdict(sys),
+        "train": asdict(cfg),
+        "rates": asdict(rates),
+        "integrator": asdict(icfg),
+        "rho0": dict(zip(VECTOR_COMPONENTS, rho0.to_vector().tolist())),
+    }
 
 
 def trace(rho: DensityMatrix) -> float:

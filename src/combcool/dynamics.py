@@ -18,37 +18,39 @@ symbolically so a driven 1-3 leg could be switched on later):
 
 Between pulse windows the Hamiltonian is truncated to zero and the
 decoherence part has the closed form used by free_evolution, so propagation
-is piecewise: dense explicit integration inside each pulse window, one
-analytic map across each gap.
+is piecewise: fixed-step RK4 inside each pulse window, one analytic map
+across each gap.
 
-Inside a window the equations are linear, so each fixed RK4 step is a 9x9
-step map, formed in stacked products and applied in order.
+Inside a window the equations are linear, so each RK4 step is a 9x9 step
+map, formed in stacked products and applied in order.
 
 Because the train is phase locked, every pulse generates the identical
 superoperator in pulse-local time.  The propagator therefore integrates the
-9x9 real generator once per distinct window shape and reuses the resulting
-linear maps for all pulses (the equations are linear in rho, so this is
-algebraically identical to integrating each pulse separately), in blocks of
-pulses within a fixed byte budget of fine states.  The direct per-pulse path
-is kept behind IntegratorConfig.reuse_pulse_map for cross-checking.
+9x9 real generator once per distinct window shape (the first window, and
+the interior window when there is more than one pulse) and applies the
+resulting linear maps to every pulse, in blocks of pulses within a fixed
+byte budget of fine states.  The equations are linear in rho, so this is
+algebraically identical to integrating each pulse separately; the tests
+pin it against that per-pulse integration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import field as field_mod
 from .core import (
-    RATE_RELATION_TOL,
     DecoherenceRates,
     DensityMatrix,
     LevelSystem,
-    RateRelationViolation,
+    RateCheckMode,
     Trajectory,
+    config_tree,
     trace,
+    validate_rates,
 )
 from .field import PulseTrainConfig, hamiltonian_element
 
@@ -56,9 +58,7 @@ __all__ = [
     "IntegrationError",
     "IntegratorConfig",
     "NegativePopulation",
-    "StepSizeUnderflow",
     "TraceDrift",
-    "coherent_trace_derivative",
     "free_evolution",
     "lvn_rhs",
     "propagate",
@@ -80,8 +80,6 @@ _STEP_MAP_CHUNK = 256
 #: Byte budget of the fine states formed per block of pulses.
 _BLOCK_BYTES = 1 << 20
 
-_METHODS = ("rk4", "rk45")
-
 
 class IntegrationError(RuntimeError):
     """Base class for propagation failures (CLI maps these to exit code 3)."""
@@ -93,10 +91,6 @@ class TraceDrift(IntegrationError):
 
 class NegativePopulation(IntegrationError):
     """A diagonal element fell below -pop_tol; the integration is unreliable."""
-
-
-class StepSizeUnderflow(IntegrationError):
-    """The adaptive integrator could not meet its tolerances."""
 
 
 @dataclass(frozen=True)
@@ -124,23 +118,17 @@ class IntegratorConfig:
     legs stay stroboscopically detuned).
     """
 
-    method: str = "rk4"
     step_in_pulse: float | None = None
     sampler_stride: int = 10
     window_sigmas: float = field_mod.DEFAULT_WINDOW_SIGMAS
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
     gap_samples: int = 2
     trace_tol: float = 1e-6
     pop_tol: float = 1e-6
-    reuse_pulse_map: bool = True
     early_stop_pulses: int = 0
     early_stop_tol: float = 1e-6
     interpulse_phases: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.step_in_pulse is not None and not self.step_in_pulse > 0.0:
             raise ValueError("step_in_pulse must be positive when given")
         if not (isinstance(self.sampler_stride, int) and self.sampler_stride >= 1):
@@ -149,7 +137,7 @@ class IntegratorConfig:
             raise ValueError("window_sigmas must be positive")
         if not (isinstance(self.gap_samples, int) and self.gap_samples >= 0):
             raise ValueError("gap_samples must be a non-negative integer")
-        for name in ("abs_tol", "rel_tol", "trace_tol", "pop_tol", "early_stop_tol"):
+        for name in ("trace_tol", "pop_tol", "early_stop_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if not (isinstance(self.early_stop_pulses, int) and self.early_stop_pulses >= 0):
@@ -217,22 +205,6 @@ def lvn_rhs(
     d23 = -1j * H23 * (p3 - p2) - 1j * H21 * r13 + 1j * H13 * r21 - gd23 * r23
 
     return DensityMatrix(d11, d22, d33, d12, d13, d23)
-
-
-def coherent_trace_derivative(
-    rho: DensityMatrix,
-    t: float,
-    k: int,
-    cfg: PulseTrainConfig,
-    sys: LevelSystem,
-) -> float:
-    """d(trace)/dt from the commutator part alone; vanishes identically.
-
-    Kept as an explicit diagnostic of the structural trace conservation that
-    the propagation relies on.
-    """
-    tangent = lvn_rhs(rho, t, k, cfg, sys, DecoherenceRates.none())
-    return trace(tangent)
 
 
 def _generator_matrices(
@@ -400,16 +372,14 @@ def _integrate_window(
     sys: LevelSystem,
     rates: DecoherenceRates,
     x0: np.ndarray,
-    icfg: IntegratorConfig,
 ):
     """Integrate v' = L(s) v (or M' = L M for matrix x0) over one window.
 
     Returns (s_grid, x_fine) with x_fine[i] the solution at s_grid[i].  The
-    fixed-step path is classic RK4 as step maps S_i = I + h/6 (K1 + 2 K2 +
-    2 K3 + K4), with K1 = L(s_i), K2 = L_mid (I + h/2 K1), K3 = L_mid
+    integrator is classic fixed-step RK4 as step maps S_i = I + h/6 (K1 +
+    2 K2 + 2 K3 + K4), with K1 = L(s_i), K2 = L_mid (I + h/2 K1), K3 = L_mid
     (I + h/2 K2) and K4 = L(s_i+1) (I + h K3), formed as stacked 9x9 products
     _STEP_MAP_CHUNK steps at a time and applied in order, x_i+1 = S_i x_i.
-    The adaptive path delegates to scipy's RK45 on the same grid.
     """
     length = s_hi - s_lo
     if not length > 0.0:
@@ -417,29 +387,6 @@ def _integrate_window(
     n = max(1, int(math.ceil(length / step)))
     h = length / n
     s_grid = s_lo + h * np.arange(n + 1)
-
-    if icfg.method == "rk45":
-        from scipy.integrate import solve_ivp
-
-        shape = x0.shape
-
-        def rhs(t, y):
-            L = _generator_matrices(np.array([t]), cfg, sys, rates)[0]
-            return (L @ y.reshape(shape)).ravel()
-
-        sol = solve_ivp(
-            rhs,
-            (s_lo, s_hi),
-            x0.ravel(),
-            method="RK45",
-            t_eval=s_grid,
-            rtol=icfg.rel_tol,
-            atol=icfg.abs_tol,
-        )
-        if not sol.success:
-            raise StepSizeUnderflow(f"adaptive integrator failed: {sol.message}")
-        x_fine = sol.y.T.reshape((n + 1,) + shape)
-        return s_grid, x_fine
 
     x_fine = np.empty((n + 1,) + x0.shape)
     x_fine[0] = x0
@@ -486,18 +433,6 @@ def _scan_states(states: np.ndarray, times: np.ndarray, trace_tol: float, pop_to
     return float(drift[worst]), pmin, float(p2.max())
 
 
-def _resolved_metadata(cfg, sys, rates, icfg, step, rho0):
-    meta = {
-        "train": asdict(cfg),
-        "system": asdict(sys),
-        "rates": asdict(rates),
-        "integrator": asdict(icfg),
-        "resolved_step": step,
-        "rho0": rho0.to_vector().tolist(),
-    }
-    return meta
-
-
 def propagate(
     rho0: DensityMatrix,
     cfg: PulseTrainConfig,
@@ -516,7 +451,7 @@ def propagate(
     trajectory starts at -w and ends at (N-1) T + w, the end of the last
     integrated window (or earlier if the early-stop criterion fires).
 
-    With map reuse, pulses after the first run in blocks whose fine states
+    The first pulse runs alone; later pulses run in blocks whose fine states
     fit _BLOCK_BYTES (72 bytes per fine step and pulse).  Pulse-start states
     are carried along the block with the pulse-end map and the gap map, and
     the early-stop rule reads the carried pulse ends.  One matrix product
@@ -527,15 +462,15 @@ def propagate(
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
     error names the first failing pulse; the trace is never renormalized.
+
+    Unless allow_unconstrained_rates is set, the rates must satisfy the
+    additive dephasing relation (validate_rates in ENFORCE mode).
     """
     icfg = icfg if icfg is not None else IntegratorConfig()
+    if not allow_unconstrained_rates:
+        validate_rates(rates, RateCheckMode.ENFORCE)
     if abs(trace(rho0) - 1.0) > 1e-12:
         raise ValueError(f"initial state must have unit trace, got {trace(rho0)!r}")
-    if not allow_unconstrained_rates and abs(rates.relation_deviation()) > RATE_RELATION_TOL:
-        raise RateRelationViolation(
-            f"Gamma23 - (Gamma21 + Gamma31) = {rates.relation_deviation():.3e}; "
-            "pass allow_unconstrained_rates=True to propagate anyway"
-        )
     step = resolve_step(icfg, cfg, sys)
 
     w = icfg.window_sigmas * cfg.tau
@@ -546,12 +481,10 @@ def propagate(
     # windows lose their leading edge to the previous window when 2w > T.
     interior_span = (max(-w, w - T), w)
 
-    use_maps = icfg.reuse_pulse_map and N >= 3
-    if use_maps:
-        window_cache = {
-            span: _integrate_window(*span, step, cfg, sys, rates, np.eye(9), icfg)
-            for span in {(-w, w), interior_span}
-        }
+    window_cache = {
+        span: _integrate_window(*span, step, cfg, sys, rates, np.eye(9))
+        for span in ({(-w, w), interior_span} if N > 1 else {(-w, w)})
+    }
 
     n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
     gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
@@ -571,18 +504,13 @@ def propagate(
     k = 0
 
     while k < N and not stopped_early:
-        span = (-w, w) if k == 0 else interior_span
-        if use_maps:
-            s_grid, m_fine = window_cache[span]
-            # pulse 0 runs alone: its window and its recorded rows may differ
-            block = 1 if k == 0 else min(N - k, max(1, _BLOCK_BYTES // (72 * s_grid.size)))
-        else:
-            s_grid, fine = _integrate_window(*span, step, cfg, sys, rates, v, icfg)
-            block = 1
+        s_grid, m_fine = window_cache[(-w, w) if k == 0 else interior_span]
+        # pulse 0 runs alone: its window and its recorded rows may differ
+        block = 1 if k == 0 else min(N - k, max(1, _BLOCK_BYTES // (72 * s_grid.size)))
         starts, ends = np.empty((2, block, 9))
         for b in range(block):
             starts[b] = v
-            v = ends[b] = m_fine[-1] @ v if use_maps else fine[-1]
+            v = ends[b] = m_fine[-1] @ v
             if icfg.early_stop_pulses:
                 moved = np.inf if prev_pops is None else np.abs(v[:3] - prev_pops).max()
                 stable_run = stable_run + 1 if moved < icfg.early_stop_tol else 0
@@ -593,12 +521,9 @@ def propagate(
             if k + b < N - 1 and (gap > 0.0 or angles is not None):
                 v = _apply_free(v, gap, rates, angles)
         n_block = b + 1
-        if use_maps:
-            states = (starts[:n_block] @ m_fine.reshape(-1, 9).T).reshape(n_block, -1, 9)
-            # the recorded pulse end is exactly the state the next gap map acts on
-            states[:, -1] = ends[:n_block]
-        else:
-            states = fine[None]
+        states = (starts[:n_block] @ m_fine.reshape(-1, 9).T).reshape(n_block, -1, 9)
+        # the recorded pulse end is exactly the state the next gap map acts on
+        states[:, -1] = ends[:n_block]
         starts_t = (k + np.arange(n_block))[:, None] * T
         abs_times = starts_t + s_grid
         try:
@@ -634,14 +559,14 @@ def propagate(
 
     times = np.concatenate(times_chunks)
     data = np.concatenate(data_chunks)
-    metadata = _resolved_metadata(cfg, sys, rates, icfg, step, rho0)
+    metadata = config_tree(sys, cfg, rates, icfg, rho0)
+    metadata["resolved_step"] = step
     metadata["diagnostics"] = {
         "trace_max_drift": max_drift,
         "min_population": min_pop,
         "max_rho22": max_rho22,
         "pulses_run": k,
         "early_stopped": stopped_early,
-        "mode": "map_reuse" if use_maps else "direct",
         "t_begin": float(times[0]),
         "t_end": float(times[-1]),
     }

@@ -1,4 +1,7 @@
-"""Named experiment presets, the dephasing-rate validator, and comparison runs.
+"""Named experiment presets, comparison runs, and the fig4 calibration scan.
+
+The dephasing-rate validator (validate_rates, RateCheckMode, RateReport)
+lives in core and is re-exported here.
 
 Seven presets cover the regimes the simulator demonstrates, addressable by
 the short names used throughout the command-line interface:
@@ -43,22 +46,21 @@ the corresponding expectations.
 
 from __future__ import annotations
 
-import enum
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     DEFAULT_CONVENTION,
-    RATE_RELATION_TOL,
     DecoherenceRates,
     DensityMatrix,
     FrequencyUnit,
     LevelSystem,
-    RateRelationViolation,
+    RateCheckMode,
+    RateReport,
     Trajectory,
+    validate_rates,
 )
 from .dynamics import (
     IntegratorConfig,
@@ -614,61 +616,6 @@ def run_preset(preset: ScenarioPreset, icfg: IntegratorConfig | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Rate-relation validation
-# ---------------------------------------------------------------------------
-
-
-class RateCheckMode(enum.Enum):
-    """What to do when the additive dephasing relation is violated."""
-
-    ENFORCE = "enforce"
-    WARN = "warn"
-    OFF = "off"
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Outcome of validate_rates: the signed deviation and the verdict."""
-
-    deviation: float
-    within_tolerance: bool
-    mode: RateCheckMode
-    message: str
-
-
-def validate_rates(
-    rates: DecoherenceRates, mode: RateCheckMode | str = RateCheckMode.ENFORCE
-) -> RateReport:
-    """Check the additive dephasing relation Gamma23 = Gamma21 + Gamma31.
-
-    For dephasing driven by elastic collisions that leave the 1-3 coherence
-    untouched, the three collisional rates are not independent: the 2-3 rate
-    must equal the sum of the other two.  ENFORCE raises
-    RateRelationViolation on violation, WARN emits a warning and returns the
-    report, OFF only records the deviation.
-    """
-    mode = RateCheckMode(mode) if not isinstance(mode, RateCheckMode) else mode
-    deviation = rates.relation_deviation()
-    ok = abs(deviation) <= RATE_RELATION_TOL
-    if ok:
-        message = (
-            f"Gamma23 = Gamma21 + Gamma31 holds (deviation {deviation:.3e})"
-        )
-    else:
-        message = (
-            f"Gamma23 - (Gamma21 + Gamma31) = {deviation:.6g}; the additive "
-            "dephasing relation is violated"
-        )
-        if mode is RateCheckMode.ENFORCE:
-            raise RateRelationViolation(message)
-        if mode is RateCheckMode.WARN:
-            warnings.warn(message, stacklevel=2)
-    return RateReport(
-        deviation=deviation, within_tolerance=ok, mode=mode, message=message
-    )
-
-
-# ---------------------------------------------------------------------------
 # Comparison harness
 # ---------------------------------------------------------------------------
 
@@ -821,7 +768,7 @@ def _single_pulse_map(
     step = resolve_step(icfg, cfg, sys)
     w = icfg.window_sigmas * tau
     _, m_fine = _integrate_window(
-        -w, w, step, cfg, sys, DecoherenceRates.none(), np.eye(9), icfg
+        -w, w, step, cfg, sys, DecoherenceRates.none(), np.eye(9)
     )
     return m_fine[-1]
 

@@ -200,7 +200,7 @@ def write_csv_reference(path, header, columns):
 
 
 def integrate_window_reference(s_lo, s_hi, step, cfg, sys_, rates, x0):
-    """Per-step oracle for the fixed-step path of dynamics._integrate_window.
+    """Per-step oracle for dynamics._integrate_window.
 
     Classic RK4 on v' = L(s) v (or M' = L M), one step at a time with four
     generator products, on the same grid.
@@ -222,8 +222,29 @@ def integrate_window_reference(s_lo, s_hi, step, cfg, sys_, rates, x0):
     return s_grid, x_fine
 
 
+def propagate_direct_reference(rho0, cfg, sys_, rates, icfg):
+    """Direct-integration oracle for the final state of dynamics.propagate.
+
+    Integrates every pulse on the state vector itself with
+    integrate_window_reference, with no window map, and crosses each gap
+    with _apply_free.  Returns the state at the end of the last pulse.
+    """
+    step = resolve_step(icfg, cfg, sys_)
+    w = icfg.window_sigmas * cfg.tau
+    T, N = cfg.T, cfg.N
+    gap = max(T - 2.0 * w, 0.0)
+    angles = _interpulse_angles(T, sys_) if icfg.interpulse_phases else None
+    v = rho0.to_vector()
+    for k in range(N):
+        span = (-w, w) if k == 0 else (max(-w, w - T), w)
+        v = integrate_window_reference(*span, step, cfg, sys_, rates, v)[1][-1]
+        if k < N - 1 and (gap > 0.0 or angles is not None):
+            v = _apply_free(v, gap, rates, angles)
+    return v
+
+
 def propagate_reference(rho0, cfg, sys_, rates, icfg):
-    """Per-pulse oracle for the map-reuse path of dynamics.propagate.
+    """Per-pulse oracle for dynamics.propagate.
 
     Applies the stacked window map (m_fine @ v) one pulse at a time: scan
     the pulse with scan_states_reference, record it, check the early-stop
@@ -237,7 +258,7 @@ def propagate_reference(rho0, cfg, sys_, rates, icfg):
     angles = _interpulse_angles(T, sys_) if icfg.interpulse_phases else None
     interior = (max(-w, w - T), w)
     maps = {
-        span: _integrate_window(*span, step, cfg, sys_, rates, np.eye(9), icfg)
+        span: _integrate_window(*span, step, cfg, sys_, rates, np.eye(9))
         for span in {(-w, w), interior}
     }
     v = rho0.to_vector()

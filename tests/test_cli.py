@@ -357,17 +357,21 @@ def test_sweep_orders_grid_and_reports_errors_per_row(tmp_path):
 
 def test_sweep_records_non_finite_value_as_an_error_row(tmp_path, monkeypatch):
     monkeypatch.setenv("COMB_LAMBDA_THREADS", "1")
-    out = tmp_path / "out"
-    code = run_cli(
-        "sweep", "--scenario", "fig4", "--set", "train.N=3",
-        "--axis1", "rates.gamma21=0,nan", "--out", str(out),
-    )
-    assert code == EXIT_OK
-    _, good, bad = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
-    assert good.split(",")[0] == "0" and good.endswith(",")
-    cells = bad.split(",")
-    assert cells[:3] == ["nan", "nan", "nan"]
-    assert cells[3].startswith("ConfigError: key 'rates.gamma21'") and "finite" in cells[3]
+    # the bad value is recorded per row wherever it falls, first point included
+    for name, values in (("last", "0,nan"), ("first", "nan,0")):
+        out = tmp_path / name
+        code = run_cli(
+            "sweep", "--scenario", "fig4", "--set", "train.N=3",
+            "--axis1", f"rates.gamma21={values}", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        rows = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == values.split(",")
+        good, bad = sorted(rows, key=lambda row: row.startswith("nan"))
+        assert good.split(",")[0] == "0" and good.endswith(",")
+        cells = bad.split(",")
+        assert cells[:3] == ["nan", "nan", "nan"]
+        assert cells[3].startswith("ConfigError: key 'rates.gamma21'") and "finite" in cells[3]
 
 
 def test_sweep_is_deterministic_across_worker_counts(tmp_path, monkeypatch):
@@ -408,6 +412,19 @@ def test_sweep_grid_cap(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("axis", ["--axis1", "--axis2"])
+def test_sweep_unknown_axis_key_is_a_config_error(tmp_path, capsys, axis):
+    axes = {"--axis1": "train.modulation.amplitude=0,4", "--axis2": "rates.Gamma31=0"}
+    axes[axis] = "rates.bogus=nan,1"
+    code = run_cli(
+        "sweep", "--scenario", "fig4", *(x for kv in axes.items() for x in kv),
+        "--out", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG
+    assert "unknown configuration key 'rates.bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_invalid_threads_env_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("COMB_LAMBDA_THREADS", "many")
     code = run_cli(
@@ -444,6 +461,28 @@ def test_spectrum_verb_verifies_desk_scale_comb(tmp_path, capsys):
     header, *rows = (out / "spectrum.csv").read_text(encoding="utf-8").splitlines()
     assert header == "omega,intensity"
     assert len(rows) > 1000
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--pulses", "0"),
+        ("--pad", "0"),
+        ("--pad", "nan"),
+        ("--pad", "inf"),
+        ("--margin", "0"),
+        ("--margin", "nan"),
+        ("--threshold", "nan"),
+        ("--threshold", "1"),
+    ],
+)
+def test_spectrum_flag_out_of_range_is_a_config_error(tmp_path, capsys, flag, value):
+    code = run_cli(
+        "spectrum", "--scenario", "fig4", *DESK_SETTINGS, flag, value, "--out", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG
+    assert f"configuration error: {flag}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_spectrum_verb_refuses_oversized_synthesis(tmp_path, capsys):

@@ -10,7 +10,6 @@ from combcool import (
     DensityMatrix,
     FrequencyUnit,
     LevelSystem,
-    RateRelationViolation,
     Trajectory,
     hermitian_defect,
     trace,
@@ -95,12 +94,6 @@ def test_rate_relation_examples():
     assert ok1.relation_deviation() == pytest.approx(0.0, abs=1e-15)
     assert ok2.relation_deviation() == pytest.approx(0.0, abs=1e-15)
     assert bad.relation_deviation() == pytest.approx(-0.001)
-
-
-def test_rate_relation_enforced_at_construction_when_requested():
-    with pytest.raises(RateRelationViolation):
-        DecoherenceRates(Gamma21=0.001, Gamma31=0.001, Gamma23=0.001, enforce_relation=True)
-    DecoherenceRates(Gamma21=0.001, Gamma31=0.001, Gamma23=0.002, enforce_relation=True)
 
 
 def test_rates_helpers():

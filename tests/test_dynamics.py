@@ -43,6 +43,7 @@ from helpers import (
     DESK_OMEGA_MOD,
     desk_train,
     integrate_window_reference,
+    propagate_direct_reference,
     propagate_reference,
     quiet_propagate,
     random_density_matrix,
@@ -246,11 +247,13 @@ def test_time_reference_changes_offresonant_accumulation():
 
 def test_pulse_map_reuse_matches_direct_integration():
     sys_ = LevelSystem.from_transitions(3.0, 4.0)
-    cfg = PulseTrainConfig(rabi_peak=0.8, omega_L=4.0, tau=0.3, T=25.0, N=4)
     rates = DecoherenceRates(gamma21=0.001, gamma23=0.001, Gamma21=0.001, Gamma31=0.0, Gamma23=0.001)
-    a = propagate(MIXED_RHO0, cfg, sys_, rates, IntegratorConfig(reuse_pulse_map=True))
-    b = propagate(MIXED_RHO0, cfg, sys_, rates, IntegratorConfig(reuse_pulse_map=False))
-    np.testing.assert_allclose(a.data[-1], b.data[-1], atol=1e-10)
+    icfg = IntegratorConfig()
+    for n_pulses in (1, 2, 4):  # one window, first plus interior, and blocks of interiors
+        cfg = PulseTrainConfig(rabi_peak=0.8, omega_L=4.0, tau=0.3, T=25.0, N=n_pulses)
+        traj = propagate(MIXED_RHO0, cfg, sys_, rates, icfg)
+        direct = propagate_direct_reference(MIXED_RHO0, cfg, sys_, rates, icfg)
+        np.testing.assert_allclose(traj.data[-1], direct, atol=1e-10)
 
 
 def test_early_stop_halts_converged_runs():
@@ -302,7 +305,7 @@ def _fig3_window_states():
     w = preset.icfg.window_sigmas * preset.cfg.tau
     step = resolve_step(preset.icfg, preset.cfg, preset.sys)
     s_grid, m_fine = _integrate_window(
-        -w, w, step, preset.cfg, preset.sys, preset.rates, np.eye(9), preset.icfg
+        -w, w, step, preset.cfg, preset.sys, preset.rates, np.eye(9)
     )
     return m_fine @ MIXED_RHO0.to_vector(), 3.0 * preset.cfg.T + s_grid
 
@@ -372,11 +375,11 @@ def _preset_window(name):
     preset = get_preset(name)
     w = preset.icfg.window_sigmas * preset.cfg.tau
     step = resolve_step(preset.icfg, preset.cfg, preset.sys)
-    return (-w, w, step, preset.cfg, preset.sys, preset.rates), preset.icfg
+    return (-w, w, step, preset.cfg, preset.sys, preset.rates)
 
 
-def _assert_window_matches_reference(args, icfg, x0, atol=1e-13):
-    s_grid, x_fine = _integrate_window(*args, x0, icfg)
+def _assert_window_matches_reference(args, x0, atol=1e-13):
+    s_grid, x_fine = _integrate_window(*args, x0)
     ref_grid, ref_fine = integrate_window_reference(*args, x0)
     assert s_grid.tobytes() == ref_grid.tobytes()
     assert x_fine.shape == ref_fine.shape
@@ -386,18 +389,18 @@ def _assert_window_matches_reference(args, icfg, x0, atol=1e-13):
 
 @pytest.mark.parametrize("name", ["fig3", "fig4"])
 def test_window_map_matches_per_step_rk4(name):
-    _assert_window_matches_reference(*_preset_window(name), np.eye(9))
+    _assert_window_matches_reference(_preset_window(name), np.eye(9))
 
 
 def test_window_state_matches_per_step_rk4():
-    _assert_window_matches_reference(*_preset_window("fig4"), MIXED_RHO0.to_vector())
+    _assert_window_matches_reference(_preset_window("fig4"), MIXED_RHO0.to_vector())
 
 
 def test_desk_window_map_matches_per_step_rk4():
     _, cfg, sys_, rates, icfg = _desk_run(4)
     w = icfg.window_sigmas * cfg.tau
     args = (-w, w, resolve_step(icfg, cfg, sys_), cfg, sys_, rates)
-    _assert_window_matches_reference(args, icfg, np.eye(9))
+    _assert_window_matches_reference(args, np.eye(9))
 
 
 def test_desk_comb_window_map_matches_per_step_rk4():
@@ -411,7 +414,7 @@ def test_desk_comb_window_map_matches_per_step_rk4():
     assert n > 10 * _RK4_CHUNK  # many generator chunks
     # Both orders round once per step, so over n steps they may part by n * eps.
     _assert_window_matches_reference(
-        (-w, w, step, cfg, sys_, rates), icfg, np.eye(9), atol=n * np.finfo(float).eps
+        (-w, w, step, cfg, sys_, rates), np.eye(9), atol=n * np.finfo(float).eps
     )
 
 
@@ -421,9 +424,9 @@ def test_desk_comb_window_map_matches_per_step_rk4():
      _RK4_CHUNK - 1, _RK4_CHUNK, _RK4_CHUNK + 1],
 )
 def test_window_map_chunk_boundaries(n):
-    (s_lo, _, step, *rest), icfg = _preset_window("fig4")
+    s_lo, _, step, *rest = _preset_window("fig4")
     args = (s_lo, s_lo + (n - 0.5) * step, step, *rest)
-    s_grid = _assert_window_matches_reference(args, icfg, np.eye(9))
+    s_grid = _assert_window_matches_reference(args, np.eye(9))
     assert s_grid.size == n + 1
 
 
