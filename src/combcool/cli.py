@@ -47,8 +47,10 @@ from .core import (
 from .dynamics import (
     IntegrationError,
     IntegratorConfig,
+    check_unit_trace,
     propagate,
     quantum_yield,
+    resolve_step,
     steady_state_yield,
 )
 from .field import Modulation, PulseTrainConfig
@@ -220,6 +222,24 @@ def objects_from_tree(
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return sys_, cfg, rates, icfg, rho0
+
+
+def runnable_objects(
+    tree: dict,
+) -> tuple[LevelSystem, PulseTrainConfig, DecoherenceRates, IntegratorConfig, DensityMatrix]:
+    """objects_from_tree plus the input checks of propagate, naming the key.
+
+    propagate makes the same checks for library callers, but its ValueError
+    would reach the CLI as a traceback instead of a configuration error.
+    """
+    sys_, cfg, rates, icfg, rho0 = objects = objects_from_tree(tree)
+    for key, check in (("rho0", lambda: check_unit_trace(rho0)),
+                       ("integrator.step_in_pulse", lambda: resolve_step(icfg, cfg, sys_))):
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
+    return objects
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +465,7 @@ def cmd_run(args) -> int:
             dest.write_text(text, encoding="utf-8")
         return EXIT_OK
 
-    sys_, cfg, rates, icfg, rho0 = resolved.objects
+    sys_, cfg, rates, icfg, rho0 = runnable_objects(resolved.tree)
     _check_rates(rates, rc.rates_mode)
     traj = propagate(
         rho0,
@@ -570,7 +590,7 @@ def _sweep_point(payload) -> tuple[float, float, str]:
         point_tree = copy.deepcopy(tree)
         for key, raw in assignments:
             set_config_key(point_tree, key, raw)
-        sys_, cfg, rates, icfg, rho0 = objects_from_tree(point_tree)
+        sys_, cfg, rates, icfg, rho0 = runnable_objects(point_tree)
         traj = propagate(
             rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=rates_mode != "enforce"
         )

@@ -32,12 +32,20 @@ resulting linear maps to every pulse, in blocks of pulses within a fixed
 byte budget of fine states.  The equations are linear in rho, so this is
 algebraically identical to integrating each pulse separately; the tests
 pin it against that per-pulse integration.
+
+The window map does not depend on the pulse count, and depends on the
+period only through the clipped window span, so the last map built stays in
+a one-slot memo keyed on everything the build reads: a sweep over T or N
+builds it once.  Inside a block only the population rows of the map are
+applied to every fine state (the guards read nothing else); all nine
+components are formed only for the recorded samples, and each in-gap sample
+offset is one gap map over the block's stacked pulse ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -162,6 +170,12 @@ def resolve_step(icfg: IntegratorConfig, cfg: PulseTrainConfig, sys: LevelSystem
             f"(one twentieth of the fastest period 2*pi/{w_max:g})"
         )
     return step
+
+
+def check_unit_trace(rho0: DensityMatrix) -> None:
+    """Reject an initial state whose trace is not 1 within 1e-12."""
+    if abs(trace(rho0) - 1.0) > 1e-12:
+        raise ValueError(f"initial state must have unit trace, got {trace(rho0)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +422,48 @@ def _integrate_window(
     return s_grid, x_fine
 
 
+#: One-slot memo of window maps: {key: (s_grid, m_fine)}, never more than one entry.
+_window_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _window_key(span, step, cfg: PulseTrainConfig, sys: LevelSystem, rates: DecoherenceRates) -> tuple:
+    """Everything _integrate_window reads, with each float by its bit pattern.
+
+    T and N are left out: the map never sees N, and sees T only through the
+    span.  Comparing bit patterns keeps -0.0 and 0.0 apart.
+    """
+    train = asdict(cfg)
+    modulation = train.pop("modulation")
+    del train["T"], train["N"]
+    values = (*span, step, *train.values(), *modulation.values(), *astuple(sys), *astuple(rates))
+    return tuple(x if isinstance(x, str) else float(x).hex() for x in values)
+
+
+def _window_map(span, step, cfg: PulseTrainConfig, sys: LevelSystem, rates: DecoherenceRates):
+    """Read-only (s_grid, m_fine) of one window, reused while its key repeats.
+
+    A sweep over the period or the pulse count keeps the key, so its points
+    share one build.  The slot is emptied before a build, so at most one map
+    is held between calls.
+    """
+    key = _window_key(span, step, cfg, sys, rates)
+    maps = _window_memo.get(key)
+    if maps is None:
+        _window_memo.clear()
+        maps = _integrate_window(*span, step, cfg, sys, rates, np.eye(9))
+        for array in maps:
+            array.flags.writeable = False
+        _window_memo[key] = maps
+    return maps
+
+
 def _scan_states(states: np.ndarray, times: np.ndarray, trace_tol: float, pop_tol: float):
     """Trace and positivity guards over a block of fine states.
 
-    Returns (max |trace - 1|, min population, max rho22) for the block.  A
-    non-finite trace (NaN or infinite populations) counts as trace drift.
+    Reads only the populations, columns 0-2 of each row, so states may be
+    the (m, 3) population rows alone.  Returns (max |trace - 1|, min
+    population, max rho22) for the block.  A non-finite trace (NaN or
+    infinite populations) counts as trace drift.
     """
     p1, p2, p3 = states[:, 0], states[:, 1], states[:, 2]
     drift = np.abs(p1 + p2 + p3 - 1.0)
@@ -451,13 +502,19 @@ def propagate(
     trajectory starts at -w and ends at (N-1) T + w, the end of the last
     integrated window (or earlier if the early-stop criterion fires).
 
+    Window maps come from a one-slot memo (_window_map), so a call that
+    repeats the previous call's map inputs, for example one with another T
+    or N, reuses its read-only map instead of integrating again.
+
     The first pulse runs alone; later pulses run in blocks whose fine states
     fit _BLOCK_BYTES (72 bytes per fine step and pulse).  Pulse-start states
     are carried along the block with the pulse-end map and the gap map, and
     the early-stop rule reads the carried pulse ends.  One matrix product
-    with the flattened window map then gives every fine state of the block;
-    each pulse's last row is its carried end, the state the next gap map
-    acts on.
+    with the population rows of the window map then gives the populations of
+    every fine state of the block, and one with the recorded rows gives the
+    full recorded samples; each pulse's last row is its carried end, the
+    state the next gap map acts on.  Each in-gap sample offset is one gap
+    map applied to the block's stacked pulse ends.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
@@ -469,8 +526,7 @@ def propagate(
     icfg = icfg if icfg is not None else IntegratorConfig()
     if not allow_unconstrained_rates:
         validate_rates(rates, RateCheckMode.ENFORCE)
-    if abs(trace(rho0) - 1.0) > 1e-12:
-        raise ValueError(f"initial state must have unit trace, got {trace(rho0)!r}")
+    check_unit_trace(rho0)
     step = resolve_step(icfg, cfg, sys)
 
     w = icfg.window_sigmas * cfg.tau
@@ -480,11 +536,6 @@ def propagate(
     # Pulse-local window bounds.  The first window is always [-w, w]; interior
     # windows lose their leading edge to the previous window when 2w > T.
     interior_span = (max(-w, w - T), w)
-
-    window_cache = {
-        span: _integrate_window(*span, step, cfg, sys, rates, np.eye(9))
-        for span in ({(-w, w), interior_span} if N > 1 else {(-w, w)})
-    }
 
     n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
     gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
@@ -504,8 +555,17 @@ def propagate(
     k = 0
 
     while k < N and not stopped_early:
-        s_grid, m_fine = window_cache[(-w, w) if k == 0 else interior_span]
-        # pulse 0 runs alone: its window and its recorded rows may differ
+        if k < 2:
+            # pulse 0 runs alone on the first window: its window and its
+            # recorded rows may differ from those of every later pulse
+            span = (-w, w) if k == 0 else interior_span
+            s_grid, m_fine = _window_map(span, step, cfg, sys, rates)
+            pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
+            sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)
+            if k > 0 and gap == 0.0:
+                # a later window with no gap starts exactly where the previous one ended
+                sel = sel[1:]
+            sel_rows = m_fine[sel].reshape(-1, 9)
         block = 1 if k == 0 else min(N - k, max(1, _BLOCK_BYTES // (72 * s_grid.size)))
         starts, ends = np.empty((2, block, 9))
         for b in range(block):
@@ -521,35 +581,32 @@ def propagate(
             if k + b < N - 1 and (gap > 0.0 or angles is not None):
                 v = _apply_free(v, gap, rates, angles)
         n_block = b + 1
-        states = (starts[:n_block] @ m_fine.reshape(-1, 9).T).reshape(n_block, -1, 9)
+        starts, ends = starts[:n_block], ends[:n_block]
+        pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
         # the recorded pulse end is exactly the state the next gap map acts on
-        states[:, -1] = ends[:n_block]
+        pops[:, -1] = ends[:, :3]
         starts_t = (k + np.arange(n_block))[:, None] * T
         abs_times = starts_t + s_grid
         try:
-            drift, pmin, p2max = _scan_states(states.reshape(-1, 9), abs_times.ravel(), *tols)
+            drift, pmin, p2max = _scan_states(pops.reshape(-1, 3), abs_times.ravel(), *tols)
         except IntegrationError:
             # name the first failing pulse, as a pulse-by-pulse scan would
-            for pulse_states, pulse_times in zip(states, abs_times):
-                _scan_states(pulse_states, pulse_times, *tols)
+            for pulse_pops, pulse_times in zip(pops, abs_times):
+                _scan_states(pulse_pops, pulse_times, *tols)
             raise
         max_drift = max(max_drift, drift)
         min_pop = min(min_pop, pmin)
         max_rho22 = max(max_rho22, p2max)
 
-        sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)
-        if k > 0 and gap == 0.0:
-            # a later window with no gap starts exactly where the previous one ended
-            sel = sel[1:]
-        rows, row_times = states[:, sel], abs_times[:, sel]
+        rows = (starts @ sel_rows.T).reshape(n_block, sel.size, 9)
+        rows[:, -1] = ends
         # the last pulse of the train, or the one that stopped it, has no gap
         n_gapped = n_block if k + n_block < N and not stopped_early else n_block - 1
         gap_states = np.empty((n_block, n_gap_samples, 9))
-        for b in range(n_gapped):
-            for j, (dt, part) in enumerate(zip(gap_dts, gap_parts)):
-                gap_states[b, j] = _apply_free(states[b, -1], dt, rates, part)
+        for j, (dt, part) in enumerate(zip(gap_dts, gap_parts)):
+            gap_states[:n_gapped, j] = _apply_free(ends[:n_gapped].T, dt, rates, part).T
         rows = np.concatenate((rows, gap_states), axis=1)
-        row_times = np.concatenate((row_times, starts_t + w + gap_dts), axis=1)
+        row_times = np.concatenate((abs_times[:, sel], starts_t + w + gap_dts), axis=1)
         n_rows = n_block * rows.shape[1] - (n_block - n_gapped) * n_gap_samples
         data_chunks.append(rows.reshape(-1, 9)[:n_rows])
         times_chunks.append(row_times.ravel()[:n_rows])

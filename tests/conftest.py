@@ -8,9 +8,21 @@ from pathlib import Path
 import pytest
 
 import combcool
+import combcool.dynamics
 import combcool.scenarios as sc
 
 _ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def empty_window_memo():
+    """Start every test with an empty window-map slot.
+
+    A test that monkeypatches what a window build calls (such as
+    ``_generator_matrices``) must see a fresh build, not a map an earlier
+    test left in the slot.
+    """
+    combcool.dynamics._window_memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -123,6 +123,24 @@ def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
     assert not (tmp_path / "summary.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "override, key, message",
+    [
+        ("rho0.rho11=0.5", "rho0", "unit trace"),
+        ("integrator.step_in_pulse=10", "integrator.step_in_pulse", "stability cap"),
+    ],
+)
+def test_input_rejected_by_propagate_is_a_config_error(tmp_path, capsys, override, key, message):
+    code = run_cli(
+        "run", "--scenario", "fig3", "--set", override,
+        "--emit", "summary", "--out", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(key) in err and message in err
+    assert not (tmp_path / "summary.txt").exists()
+
+
 def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "fig4.cfg"
     run_cli("run", "--scenario", "fig4", "--dump-config", str(path))

@@ -533,6 +533,89 @@ def test_guard_names_the_first_failing_pulse_of_a_block(monkeypatch):
     assert f"t = {6 * cfg.T + icfg.window_sigmas * cfg.tau:g};" in str(raised.value)
 
 
+# --- window-map memo -----------------------------------------------------------------
+
+
+def _trajectory_bytes(traj):
+    diag = traj.metadata["diagnostics"]
+    return (traj.times.tobytes(), traj.data.tobytes(), traj.pulse_end_indices.tobytes(),
+            [np.float64(value).tobytes() for value in diag.values()])
+
+
+@pytest.mark.parametrize("period", [25.0, 3.3])
+def test_memo_hit_gives_the_bytes_of_a_fresh_build(period):
+    run = _desk_run(15, period, gap_samples=3, interpulse_phases=True)
+    fresh = _trajectory_bytes(quiet_propagate(*run))
+    again = _trajectory_bytes(quiet_propagate(*run))
+    dynamics._window_memo.clear()
+    rebuilt = _trajectory_bytes(quiet_propagate(*run))
+    assert again == fresh and rebuilt == fresh
+
+
+def _memo_run(section=None, **fields):
+    """A sine-chirped desk run with `fields` replaced in one section of it."""
+    rho0, cfg, sys_, rates, icfg = _desk_run(15)
+    run = {
+        "train": replace(cfg, modulation=Modulation.sine(1.0, 3.0)),
+        "system": sys_,
+        "rates": rates,
+        "integrator": icfg,
+    }
+    if section == "modulation":
+        run["train"] = replace(run["train"], modulation=replace(run["train"].modulation, **fields))
+    elif section is not None:
+        run[section] = replace(run[section], **fields)
+    return (rho0, *run.values())
+
+
+def _builds_for_second_run(monkeypatch, section, fields):
+    builds = []
+    build = dynamics._integrate_window
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(dynamics, "_integrate_window", counting_build)
+    quiet_propagate(*_memo_run())
+    assert len(builds) == 1
+    quiet_propagate(*_memo_run(section, **fields))
+    return len(builds) - 1
+
+
+@pytest.mark.parametrize("fields", [{"T": 40.0}, {"N": 7}, {"T": 30.0, "N": 3}])
+def test_memo_reuses_the_map_across_period_and_pulse_count(monkeypatch, fields):
+    assert _builds_for_second_run(monkeypatch, "train", fields) == 0
+
+
+@pytest.mark.parametrize(
+    "section, fields",
+    [
+        ("train", {"rabi_peak": 0.9}),
+        ("train", {"omega_L": 4.5}),
+        ("train", {"tau": 0.25}),
+        ("train", {"phi": 0.3}),
+        ("train", {"phi": -0.0}),  # equal to 0.0 as a float, but a different bit pattern
+        ("modulation", {"amplitude": 1.5}),
+        ("rates", {"gamma21": 0.002}),
+        ("system", {"omega32": 4.5, "omega31": 1.5}),
+        ("integrator", {"step_in_pulse": 0.002}),
+        ("integrator", {"window_sigmas": 5.0}),
+    ],
+)
+def test_memo_rebuilds_when_the_map_inputs_change(monkeypatch, section, fields):
+    assert _builds_for_second_run(monkeypatch, section, fields) == 1
+
+
+def test_memo_arrays_are_read_only():
+    quiet_propagate(*_desk_run(3))
+    ((s_grid, m_fine),) = dynamics._window_memo.values()
+    with pytest.raises(ValueError):
+        s_grid[0] = 0.0
+    with pytest.raises(ValueError):
+        m_fine[0, 0, 0] = 0.0
+
+
 def test_resolve_step_tracks_fastest_frequency():
     sys_ = LevelSystem.from_transitions(3.0, 7.0)
     cfg = PulseTrainConfig(rabi_peak=1.0, omega_L=9.0, tau=0.3, T=20.0, N=1)
