@@ -542,6 +542,7 @@ def _trajectory_bytes(traj):
             [np.float64(value).tobytes() for value in diag.values()])
 
 
+# with overlapping windows (3.3) the first and interior maps take turns in the slot
 @pytest.mark.parametrize("period", [25.0, 3.3])
 def test_memo_hit_gives_the_bytes_of_a_fresh_build(period):
     run = _desk_run(15, period, gap_samples=3, interpulse_phases=True)
