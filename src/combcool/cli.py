@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,7 @@ from .scenarios import (
     calibrate_fig4,
     evaluate_expectations,
     get_preset,
+    measure_quantity,
     transfer_pulse,
 )
 from . import spectrum as spectrum_mod
@@ -248,26 +250,10 @@ def runnable_objects(
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything the run verb needs: source scenario plus output plan."""
-
-    scenario: str
-    overrides: tuple[str, ...] = ()
-    output_dir: Path = Path("combcool-out")
-    emit: tuple[str, ...] = DEFAULT_EMIT
-    rates_mode: str = "enforce"
-    convention: str = DEFAULT_CONVENTION
-
-
-@dataclass(frozen=True)
 class ResolvedRun:
     label: str
     preset: ScenarioPreset | None
     tree: dict
-
-    @property
-    def objects(self):
-        return objects_from_tree(self.tree)
 
 
 def resolve_scenario(
@@ -446,15 +432,8 @@ def write_plotdata(directory: Path, traj: Trajectory) -> None:
 
 
 def cmd_run(args) -> int:
-    rc = RunConfig(
-        scenario=args.scenario,
-        overrides=tuple(args.set or ()),
-        output_dir=Path(args.out),
-        emit=_parse_emit(args.emit),
-        rates_mode=args.rates_mode,
-        convention=args.convention,
-    )
-    resolved = resolve_scenario(rc.scenario, rc.overrides, rc.convention)
+    emit = _parse_emit(args.emit)
+    resolved = resolve_scenario(args.scenario, tuple(args.set or ()), args.convention)
     if args.dump_config is not None:
         text = "\n".join(config_lines(resolved.tree)) + "\n"
         if args.dump_config == "-":
@@ -466,25 +445,20 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     sys_, cfg, rates, icfg, rho0 = runnable_objects(resolved.tree)
-    _check_rates(rates, rc.rates_mode)
+    _check_rates(rates, args.rates_mode)
     traj = propagate(
-        rho0,
-        cfg,
-        sys_,
-        rates,
-        icfg,
-        allow_unconstrained_rates=rc.rates_mode != "enforce",
+        rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=args.rates_mode != "enforce"
     )
 
-    out = rc.output_dir
-    if "timeseries" in rc.emit:
+    out = Path(args.out)
+    if "timeseries" in emit:
         write_timeseries(out / "timeseries.csv", traj)
-    if "summary" in rc.emit:
+    if "summary" in emit:
         _write_lines(out / "summary.txt", summary_lines(resolved, traj))
-    if "spectrum" in rc.emit:
+    if "spectrum" in emit:
         _, spec = _surrogate_spectrum(cfg, 32, 1.0, 1.2, SPECTRUM_MAX_SAMPLES)
         write_spectrum_csv(out / "spectrum.csv", spec)
-    if "plotdata" in rc.emit:
+    if "plotdata" in emit:
         write_plotdata(out / "plotdata", traj)
 
     diag = traj.metadata["diagnostics"]
@@ -531,32 +505,6 @@ class SweepAxis:
         return "+".join(self.keys)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    axis1: SweepAxis
-    axis2: SweepAxis | None
-    objective: str
-    cap: int = SWEEP_CAP
-
-    def __post_init__(self) -> None:
-        if self.objective not in OBJECTIVES:
-            raise ConfigError(
-                f"unknown objective {self.objective!r}, expected one of {OBJECTIVES}"
-            )
-        total = self.total_points
-        if not 1 <= total <= self.cap:
-            raise ConfigError(
-                f"sweep grid has {total} points, outside 1..{self.cap}"
-            )
-
-    @property
-    def total_points(self) -> int:
-        n = len(self.axis1.values)
-        if self.axis2 is not None:
-            n *= len(self.axis2.values)
-        return n
-
-
 def parse_axis(spec: str) -> SweepAxis:
     """Parse 'key[+key2]=v1,v2,...' or 'key=linspace(start,stop,count)'."""
     key_part, sep, value_part = spec.partition("=")
@@ -594,14 +542,8 @@ def _sweep_point(payload) -> tuple[float, float, str]:
         traj = propagate(
             rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=rates_mode != "enforce"
         )
-        if objective == "final_yield":
-            value = quantum_yield(traj)
-        elif objective == "steady_yield":
-            value = steady_state_yield(traj)
-        else:
-            value = traj.metadata["diagnostics"]["max_rho22"]
         drift = traj.metadata["diagnostics"]["trace_max_drift"]
-        return float(value), float(drift), ""
+        return measure_quantity(traj, objective), float(drift), ""
     except Exception as exc:  # recorded per row, not fatal to the sweep
         message = f"{type(exc).__name__}: {exc}".replace(",", ";")
         message = " ".join(message.split())
@@ -628,30 +570,27 @@ def cmd_sweep(args) -> int:
     resolved = resolve_scenario(
         args.scenario, tuple(args.set or ()), args.convention
     )
-    axis1 = parse_axis(args.axis1)
-    axis2 = parse_axis(args.axis2) if args.axis2 else None
-    spec = SweepSpec(axis1=axis1, axis2=axis2, objective=args.objective, cap=args.cap)
+    axes = [parse_axis(args.axis1)] + ([parse_axis(args.axis2)] if args.axis2 else [])
+    total = math.prod(len(axis.values) for axis in axes)
+    if total > args.cap:
+        raise ConfigError(f"sweep grid has {total} points, outside 1..{args.cap}")
 
     # Fail fast on unknown axis keys before launching any work; bad values
     # are recorded per point, whichever point they fall on.
-    for axis in filter(None, (axis1, axis2)):
+    for axis in axes:
         for key in axis.keys:
             _leaf_node(resolved.tree, key)
 
-    payloads = []
-    for v1 in axis1.values:
-        assignments1 = [(k, v1) for k in axis1.keys]
-        if axis2 is None:
-            payloads.append(
-                (resolved.tree, tuple(assignments1), spec.objective, args.rates_mode)
-            )
-        else:
-            for v2 in axis2.values:
-                assignments = assignments1 + [(k, v2) for k in axis2.keys]
-                payloads.append(
-                    (resolved.tree, tuple(assignments), spec.objective, args.rates_mode)
-                )
-
+    grid = list(itertools.product(*(axis.values for axis in axes)))
+    payloads = [
+        (
+            resolved.tree,
+            tuple((key, value) for axis, value in zip(axes, point) for key in axis.keys),
+            args.objective,
+            args.rates_mode,
+        )
+        for point in grid
+    ]
     workers = _worker_count(len(payloads))
     if workers <= 1:
         results = [_sweep_point(p) for p in payloads]
@@ -659,27 +598,15 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
 
-    header = [axis1.label]
-    if axis2 is not None:
-        header.append(axis2.label)
-    header += [spec.objective, "trace_max_drift", "error"]
+    header = [axis.label for axis in axes] + [args.objective, "trace_max_drift", "error"]
     lines = [",".join(header)]
-    index = 0
-    for v1 in axis1.values:
-        for v2 in axis2.values if axis2 is not None else (None,):
-            value, drift, error = results[index]
-            index += 1
-            row = [v1]
-            if v2 is not None:
-                row.append(v2)
-            row += [_g(value), _g(drift), error]
-            lines.append(",".join(row))
-    out = Path(args.out)
-    _write_lines(out / "sweep.csv", lines)
+    for point, (value, drift, error) in zip(grid, results):
+        lines.append(",".join([*point, _g(value), _g(drift), error]))
+    _write_lines(Path(args.out) / "sweep.csv", lines)
     n_err = sum(1 for _, _, e in results if e)
     print(
         f"sweep: {len(payloads)} points, {n_err} errors, "
-        f"objective={spec.objective}, workers={workers}"
+        f"objective={args.objective}, workers={workers}"
     )
     return EXIT_OK
 
@@ -706,7 +633,7 @@ def cmd_spectrum(args) -> int:
     resolved = resolve_scenario(
         args.scenario, tuple(args.set or ()), args.convention
     )
-    _, cfg, _, _, _ = resolved.objects
+    _, cfg, _, _, _ = objects_from_tree(resolved.tree)
     cfg_s, spec = _surrogate_spectrum(
         cfg, args.pulses, args.pad, args.margin, args.max_samples
     )
@@ -732,7 +659,7 @@ def cmd_spectrum(args) -> int:
 def cmd_validate_rates(args) -> int:
     if args.scenario is not None:
         resolved = resolve_scenario(args.scenario, tuple(args.set or ()), args.convention)
-        _, _, rates, _, _ = resolved.objects
+        _, _, rates, _, _ = objects_from_tree(resolved.tree)
     else:
         try:
             rates = DecoherenceRates(
@@ -764,20 +691,11 @@ def cmd_calibrate(args) -> int:
     print(f"transfer_pulse = {result.transfer_pulse}")
     print(f"max_rho22 = {_g(result.max_rho22)}")
     if args.out is not None:
-        lines = ["tau,period,peak_yield,peak_pulse,transfer_pulse"]
-        for point in result.scanned:
-            lines.append(
-                ",".join(
-                    (
-                        _g(point.tau),
-                        _g(point.period),
-                        _g(point.peak_yield),
-                        str(point.peak_pulse),
-                        str(point.transfer_pulse),
-                    )
-                )
-            )
-        _write_lines(Path(args.out) / "calibration.csv", lines)
+        _write_rows(
+            Path(args.out) / "calibration.csv",
+            "tau,period,peak_yield,peak_pulse,transfer_pulse",
+            np.array([astuple(point) for point in result.scanned]),
+        )
     return EXIT_OK
 
 

@@ -500,7 +500,10 @@ def propagate(
     gap is crossed with the analytic decoherence map, composed with the
     per-period coherence rotation when icfg.interpulse_phases is set.  The
     trajectory starts at -w and ends at (N-1) T + w, the end of the last
-    integrated window (or earlier if the early-stop criterion fires).
+    integrated window (or earlier if the early-stop criterion fires).  A gap
+    of at most 1e-12 (gap_samples + 1) N T is crossed as no gap, like T = 2w:
+    at times up to N T the grid cannot place its samples between the window
+    ends (with T = 2.376000000000001 and w = 1.188 they would coincide).
 
     Window maps come from a one-slot memo (_window_map), so a call that
     repeats the previous call's map inputs, for example one with another T
@@ -531,7 +534,9 @@ def propagate(
 
     w = icfg.window_sigmas * cfg.tau
     T, N = cfg.T, cfg.N
-    gap = max(T - 2.0 * w, 0.0)
+    gap = T - 2.0 * w
+    if gap <= 1e-12 * (icfg.gap_samples + 1) * N * T:
+        gap = 0.0
     angles = _interpulse_angles(T, sys) if icfg.interpulse_phases else None
     # Pulse-local window bounds.  The first window is always [-w, w]; interior
     # windows lose their leading edge to the previous window when 2w > T.

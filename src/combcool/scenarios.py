@@ -37,9 +37,10 @@ one the expected values below were measured under.
 The strong-drive pulse duration and repetition period are not externally
 given; they are fixed by :func:`calibrate_fig4`, a scripted scan that selects
 the (tau, period) pair producing stepwise transfer completing in 109 +/- 10
-pulses.  The scan integrates one pulse map per duration and scores each
-candidate period from the powers of its 9x9 one-period map (pulse map, then
-the inter-pulse rotation), formed by repeated doubling.  The chosen values
+pulses.  The scan takes one pulse map per duration from propagate's window
+memo (dynamics._window_map) and scores each candidate period from the powers
+of its 9x9 one-period map (pulse map, then the inter-pulse rotation), formed
+by repeated doubling.  The chosen values
 are frozen into module constants and marked with ``derived`` provenance on
 the corresponding expectations.
 """
@@ -65,9 +66,9 @@ from .core import (
 from .dynamics import (
     IntegratorConfig,
     _apply_free,
-    _integrate_window,
     _interpulse_angles,
     _map_powers,
+    _window_map,
     propagate,
     quantum_yield,
     resolve_step,
@@ -289,11 +290,6 @@ class ScenarioPreset:
     expected: tuple[Expectation, ...] = ()
     note: str = ""
 
-    @property
-    def run_length(self) -> float:
-        """Scheduled train duration N*T (a run may stop earlier)."""
-        return self.cfg.N * self.cfg.T
-
 
 def _weak_system() -> LevelSystem:
     return LevelSystem.from_transitions(WEAK_OMEGA21, WEAK_OMEGA32)
@@ -301,6 +297,24 @@ def _weak_system() -> LevelSystem:
 
 def _strong_system() -> LevelSystem:
     return LevelSystem.from_transitions(STRONG_OMEGA21, STRONG_OMEGA32)
+
+
+def _strong_train(
+    T: float, N: int, tau: float = FIG4_TAU, chirp: str = "sine"
+) -> PulseTrainConfig:
+    """The strong-drive comb of fig4, fig6 and the calibration.
+
+    Carrier on the 3-2 transition at peak Rabi frequency FIG4_RABI; chirp is
+    "sine", "cosine" (amplitude FIG4_PHI0 at the 2-1 transition frequency)
+    or "none".
+    """
+    if chirp == "none":
+        modulation = Modulation.none()
+    else:
+        modulation = Modulation(chirp, FIG4_PHI0, STRONG_OMEGA21)
+    return PulseTrainConfig(
+        rabi_peak=FIG4_RABI, omega_L=STRONG_OMEGA32, tau=tau, T=T, N=N, modulation=modulation
+    )
 
 
 def _weak_times(convention: str) -> tuple[float, float]:
@@ -366,14 +380,7 @@ def preset_fig4() -> ScenarioPreset:
     about 109 pulses.
     """
     sys = _strong_system()
-    cfg = PulseTrainConfig(
-        rabi_peak=FIG4_RABI,
-        omega_L=STRONG_OMEGA32,
-        tau=FIG4_TAU,
-        T=FIG4_PERIOD,
-        N=FIG4_PULSES,
-        modulation=Modulation.sine(FIG4_PHI0, STRONG_OMEGA21),
-    )
+    cfg = _strong_train(FIG4_PERIOD, FIG4_PULSES)
     icfg = IntegratorConfig(interpulse_phases=True)
     expected = (
         Expectation(
@@ -496,14 +503,7 @@ def preset_fig6(modulation: str = "sine") -> ScenarioPreset:
         Gamma23=FIG6_RATE,
     )
     if modulation == "sine":
-        cfg = PulseTrainConfig(
-            rabi_peak=FIG4_RABI,
-            omega_L=STRONG_OMEGA32,
-            tau=FIG4_TAU,
-            T=FIG6_SINE_PERIOD,
-            N=FIG6_SINE_PULSES,
-            modulation=Modulation.sine(FIG4_PHI0, STRONG_OMEGA21),
-        )
+        cfg = _strong_train(FIG6_SINE_PERIOD, FIG6_SINE_PULSES)
         expected = (
             Expectation(
                 "final_yield",
@@ -514,14 +514,7 @@ def preset_fig6(modulation: str = "sine") -> ScenarioPreset:
         )
         name, note = "fig6sin", "sine chirp, decoherent, short calibrated period"
     elif modulation == "cosine":
-        cfg = PulseTrainConfig(
-            rabi_peak=FIG4_RABI,
-            omega_L=STRONG_OMEGA32,
-            tau=FIG4_TAU,
-            T=FIG4_PERIOD,
-            N=LONG_RUN_PULSES,
-            modulation=Modulation.cosine(FIG4_PHI0, STRONG_OMEGA21),
-        )
+        cfg = _strong_train(FIG4_PERIOD, LONG_RUN_PULSES, chirp="cosine")
         expected = (
             Expectation(
                 "final_rho11",
@@ -546,13 +539,7 @@ def preset_fig6(modulation: str = "sine") -> ScenarioPreset:
         )
         name, note = "fig6cos", "cosine chirp, decoherent, long period"
     else:
-        cfg = PulseTrainConfig(
-            rabi_peak=FIG4_RABI,
-            omega_L=STRONG_OMEGA32,
-            tau=FIG4_TAU,
-            T=FIG4_PERIOD,
-            N=LONG_RUN_PULSES,
-        )
+        cfg = _strong_train(FIG4_PERIOD, LONG_RUN_PULSES, chirp="none")
         expected = (
             Expectation(
                 "final_yield",
@@ -756,20 +743,16 @@ class CalibrationResult:
 def _single_pulse_map(
     tau: float, sys: LevelSystem, icfg: IntegratorConfig
 ) -> np.ndarray:
-    """Coherent superoperator of one isolated chirped pulse (9x9, rates off)."""
-    cfg = PulseTrainConfig(
-        rabi_peak=FIG4_RABI,
-        omega_L=STRONG_OMEGA32,
-        tau=tau,
-        T=max(CALIBRATION_PERIOD_GRID),
-        N=1,
-        modulation=Modulation.sine(FIG4_PHI0, STRONG_OMEGA21),
-    )
+    """Coherent superoperator of one isolated chirped pulse (9x9, rates off).
+
+    The map comes through propagate's window memo (dynamics._window_map), so
+    it is read-only, and a later propagate with the same pulse, rates and
+    step reuses it instead of integrating the window again.
+    """
+    cfg = _strong_train(max(CALIBRATION_PERIOD_GRID), 1, tau)
     step = resolve_step(icfg, cfg, sys)
     w = icfg.window_sigmas * tau
-    _, m_fine = _integrate_window(
-        -w, w, step, cfg, sys, DecoherenceRates.none(), np.eye(9)
-    )
+    _, m_fine = _window_map((-w, w), step, cfg, sys, DecoherenceRates.none())
     return m_fine[-1]
 
 
@@ -909,14 +892,7 @@ def calibrate_fig4(
             seen.add(tau)
             consider(tau)
 
-    cfg = PulseTrainConfig(
-        rabi_peak=FIG4_RABI,
-        omega_L=STRONG_OMEGA32,
-        tau=best.tau,
-        T=best.period,
-        N=best.peak_pulse,
-        modulation=Modulation.sine(FIG4_PHI0, STRONG_OMEGA21),
-    )
+    cfg = _strong_train(best.period, best.peak_pulse, best.tau)
     traj = propagate(
         DensityMatrix.pure(1), cfg, sys, DecoherenceRates.none(), icfg
     )

@@ -82,10 +82,6 @@ class SpectrumResult:
         if intens.min() < 0.0:
             raise ValueError("intensities must be non-negative")
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.frequencies.size)
-
 
 @dataclass(frozen=True)
 class PeakList:

@@ -22,6 +22,7 @@ from combcool.cli import (
     summary_lines,
     write_spectrum_csv,
 )
+from combcool.scenarios import CALIBRATION_PERIOD_GRID
 
 from helpers import (
     DESK_OMEGA_L,
@@ -139,6 +140,18 @@ def test_input_rejected_by_propagate_is_a_config_error(tmp_path, capsys, overrid
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and repr(key) in err and message in err
     assert not (tmp_path / "summary.txt").exists()
+
+
+def test_gap_below_time_resolution_runs(tmp_path):
+    # T - 2w = 4.4e-16 with w = 6 tau: the gap samples would round onto the window ends
+    with pytest.warns(UserWarning, match="below 50"):
+        code = run_cli(
+            "run", "--scenario", "fig4", "--set", "train.T=2.376000000000001",
+            "--set", "train.N=3", "--emit", "timeseries", "--out", str(tmp_path),
+        )
+    assert code == EXIT_OK
+    times = np.loadtxt(tmp_path / "timeseries.csv", delimiter=",", skiprows=1)[:, 0]
+    assert np.all(np.diff(times) > 0.0)
 
 
 def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
@@ -335,18 +348,28 @@ def test_axis_parsing():
 
 
 def test_single_point_sweep_matches_run(tmp_path):
-    out = tmp_path / "out"
     code = run_cli(
-        "sweep", "--scenario", "fig4", "--axis1", "train.modulation.amplitude=4",
-        "--out", str(out),
+        "run", "--scenario", "fig4", "--set", "train.modulation.amplitude=4",
+        "--emit", "summary", "--out", str(tmp_path / "run"),
     )
     assert code == EXIT_OK
-    header, row = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
-    assert header == "train.modulation.amplitude,final_yield,trace_max_drift,error"
-    cells = row.split(",")
-    assert cells[0] == "4"
-    assert float(cells[1]) == pytest.approx(0.973591, abs=1e-4)
-    assert cells[3] == ""
+    summary = (tmp_path / "run" / "summary.txt").read_text(encoding="utf-8").splitlines()
+    summary = dict(line.split(" = ", 1) for line in summary if " = " in line)
+    assert float(summary["yield"]) == pytest.approx(0.973591, abs=1e-4)
+    for objective, summary_key in (
+        ("final_yield", "yield"),
+        ("steady_yield", "steady_yield"),
+        ("max_rho22", "max_rho22"),
+    ):
+        out = tmp_path / objective
+        code = run_cli(
+            "sweep", "--scenario", "fig4", "--axis1", "train.modulation.amplitude=4",
+            "--objective", objective, "--out", str(out),
+        )
+        assert code == EXIT_OK
+        header, row = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert header == f"train.modulation.amplitude,{objective},trace_max_drift,error"
+        assert row.split(",") == ["4", summary[summary_key], summary["trace_max_drift"], ""]
 
 
 def test_sweep_orders_grid_and_reports_errors_per_row(tmp_path):
@@ -574,8 +597,13 @@ def test_calibrate_quick_verb(tmp_path, capsys):
     )
     assert abs(float(values["period"]) - 14005.253930) < 0.005
     assert float(values["final_yield"]) > 0.95
-    header = (tmp_path / "calibration.csv").read_text(encoding="utf-8").splitlines()[0]
+    header, *rows = (tmp_path / "calibration.csv").read_text(encoding="utf-8").splitlines()
     assert header == "tau,period,peak_yield,peak_pulse,transfer_pulse"
+    # --quick scans the frozen pulse duration around each base period once
+    assert len(rows) == len(CALIBRATION_PERIOD_GRID)
+    cells = [row.split(",") for row in rows]
+    assert all(c[3].isdigit() and c[4].isdigit() for c in cells)
+    assert values["period"] in [c[1] for c in cells]
 
 
 # --- module execution ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Integrator tests: analytic oracles, invariants, convergence, guards."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -248,11 +249,21 @@ def test_time_reference_changes_offresonant_accumulation():
 def test_pulse_map_reuse_matches_direct_integration():
     sys_ = LevelSystem.from_transitions(3.0, 4.0)
     rates = DecoherenceRates(gamma21=0.001, gamma23=0.001, Gamma21=0.001, Gamma31=0.0, Gamma23=0.001)
-    icfg = IntegratorConfig()
-    for n_pulses in (1, 2, 4):  # one window, first plus interior, and blocks of interiors
-        cfg = PulseTrainConfig(rabi_peak=0.8, omega_L=4.0, tau=0.3, T=25.0, N=n_pulses)
-        traj = propagate(MIXED_RHO0, cfg, sys_, rates, icfg)
+    cases = [
+        (25.0, IntegratorConfig()),
+        # T - 2w = 4.4e-16 with w = 6 tau: a gap the time grid cannot resolve
+        (3.6, IntegratorConfig(gap_samples=0)),
+        (3.6, IntegratorConfig()),
+        (3.6, IntegratorConfig(interpulse_phases=True)),
+    ]
+    for (period, icfg), n_pulses in itertools.product(cases, (1, 2, 4)):
+        # n_pulses: one window, first plus interior, and blocks of interiors
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the short period of 3.6
+            cfg = PulseTrainConfig(rabi_peak=0.8, omega_L=4.0, tau=0.3, T=period, N=n_pulses)
+            traj = propagate(MIXED_RHO0, cfg, sys_, rates, icfg)
         direct = propagate_direct_reference(MIXED_RHO0, cfg, sys_, rates, icfg)
+        assert np.all(np.diff(traj.times) > 0.0)
         np.testing.assert_allclose(traj.data[-1], direct, atol=1e-10)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import combcool.scenarios as sc
+from combcool import dynamics
 from combcool import (
     DecoherenceRates,
     IntegratorConfig,
@@ -289,8 +290,20 @@ def test_cosine_chirp_produces_coherent_superposition(preset_runs):
 # --- calibration ----------------------------------------------------------------------
 
 
-def test_calibration_smoke_reproduces_the_frozen_period():
+def test_calibration_smoke_reproduces_the_frozen_period(monkeypatch):
+    builds = []
+    build = dynamics._integrate_window
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    # every window build goes through the dynamics module, where the counter sits
+    assert not hasattr(sc, "_integrate_window")
+    monkeypatch.setattr(dynamics, "_integrate_window", counting_build)
     result = sc.calibrate_fig4(tau_grid=(0.198,), refine_tau=False)
+    # the final propagate reuses the pulse map of the scan through the window memo
+    assert len(builds) == 1
     assert result.tau == pytest.approx(0.198)
     assert abs(result.period - sc.FIG4_PERIOD) < 0.005
     assert result.n_pulses == 118
