@@ -53,10 +53,6 @@ from .scenarios import (
     compare_runs,
     evaluate_expectations,
     get_preset,
-    preset_fig3,
-    preset_fig4,
-    preset_fig5,
-    preset_fig6,
     run_preset,
     transfer_pulse,
 )
@@ -118,10 +114,6 @@ __all__ = [
     "lvn_rhs",
     "nyquist_limit",
     "phase_modulation",
-    "preset_fig3",
-    "preset_fig4",
-    "preset_fig5",
-    "preset_fig6",
     "propagate",
     "quantum_yield",
     "rabi_envelope",

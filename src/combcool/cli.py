@@ -4,7 +4,7 @@ Verbs
 
 - ``run``             execute one scenario, write CSV/summary/plot data
 - ``sweep``           grid-scan one or two dotted parameters, write sweep.csv
-- ``spectrum``        synthesize a train, verify its comb structure
+- ``spectrum``        synthesize a 32-pulse surrogate train, verify its comb structure
 - ``validate-rates``  check the additive dephasing relation
 - ``calibrate-fig4``  rerun the strong-drive (tau, period) calibration scan
 - ``list-scenarios``  enumerate the named presets
@@ -80,6 +80,10 @@ DEFAULT_EMIT = ("timeseries", "summary")
 OBJECTIVES = ("final_yield", "steady_yield", "max_rho22")
 THREADS_ENV = "COMB_LAMBDA_THREADS"
 SWEEP_CAP = 10_000
+#: The spectrum surrogate: at most this many pulses of the configured train,
+#: sampled at this multiple of the admissible rate, within this many samples.
+SPECTRUM_PULSES = 32
+SPECTRUM_RATE_MARGIN = 1.2
 SPECTRUM_MAX_SAMPLES = 4_000_000
 
 
@@ -358,26 +362,23 @@ def summary_lines(resolved: ResolvedRun, traj: Trajectory) -> list[str]:
     return lines
 
 
-def _surrogate_spectrum(
-    cfg: PulseTrainConfig,
-    pulses: int,
-    pad: float,
-    margin: float,
-    max_samples: int,
-):
+def _surrogate_spectrum(cfg: PulseTrainConfig):
     """Synthesize and transform a truncated copy of the configured train.
 
-    The sample rate is rounded up to an integer number of samples per period
-    so the sampled train is exactly periodic and every tooth lands on a bin.
+    The copy keeps at most SPECTRUM_PULSES pulses and no padding.  The sample
+    rate is SPECTRUM_RATE_MARGIN times the admissible minimum, rounded up to
+    an integer number of samples per period so the sampled train is exactly
+    periodic and every tooth lands on a bin.  The sample count is checked
+    against SPECTRUM_MAX_SAMPLES before anything is synthesized.
     """
-    cfg_s = replace(cfg, N=min(cfg.N, pulses))
-    rate = margin * spectrum_mod.nyquist_limit(cfg_s)
+    cfg_s = replace(cfg, N=min(cfg.N, SPECTRUM_PULSES))
+    rate = SPECTRUM_RATE_MARGIN * spectrum_mod.nyquist_limit(cfg_s)
     rate = math.ceil(rate * cfg_s.T) / cfg_s.T
-    t_total = pad * cfg_s.N * cfg_s.T
+    t_total = cfg_s.N * cfg_s.T
     projected = round(t_total * rate)
-    if projected > max_samples:
+    if projected > SPECTRUM_MAX_SAMPLES:
         raise ConfigError(
-            f"spectrum would need {projected} samples (cap {max_samples}); "
+            f"spectrum would need {projected} samples (cap {SPECTRUM_MAX_SAMPLES}); "
             "analyze a desk-scale surrogate instead, e.g. --set train.T=40 "
             "--set train.omega_L=25 --set train.tau=0.7 (the spacing laws "
             "only depend on frequency ratios)"
@@ -446,6 +447,8 @@ def cmd_run(args) -> int:
 
     sys_, cfg, rates, icfg, rho0 = runnable_objects(resolved.tree)
     _check_rates(rates, args.rates_mode)
+    # the spectrum needs only the train, so an oversized one fails before any work
+    spec = _surrogate_spectrum(cfg)[1] if "spectrum" in emit else None
     traj = propagate(
         rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=args.rates_mode != "enforce"
     )
@@ -455,8 +458,7 @@ def cmd_run(args) -> int:
         write_timeseries(out / "timeseries.csv", traj)
     if "summary" in emit:
         _write_lines(out / "summary.txt", summary_lines(resolved, traj))
-    if "spectrum" in emit:
-        _, spec = _surrogate_spectrum(cfg, 32, 1.0, 1.2, SPECTRUM_MAX_SAMPLES)
+    if spec is not None:
         write_spectrum_csv(out / "spectrum.csv", spec)
     if "plotdata" in emit:
         write_plotdata(out / "plotdata", traj)
@@ -572,8 +574,8 @@ def cmd_sweep(args) -> int:
     )
     axes = [parse_axis(args.axis1)] + ([parse_axis(args.axis2)] if args.axis2 else [])
     total = math.prod(len(axis.values) for axis in axes)
-    if total > args.cap:
-        raise ConfigError(f"sweep grid has {total} points, outside 1..{args.cap}")
+    if total > SWEEP_CAP:
+        raise ConfigError(f"sweep grid has {total} points, outside 1..{SWEEP_CAP}")
 
     # Fail fast on unknown axis keys before launching any work; bad values
     # are recorded per point, whichever point they fall on.
@@ -616,27 +618,16 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_spectrum_flags(args) -> None:
-    """Reject spectrum flags outside the range the synthesis can honour."""
-    for flag, ok, wanted in (
-        ("pulses", args.pulses >= 1, "an integer of at least 1"),
-        ("pad", math.isfinite(args.pad) and args.pad >= 1.0, "a finite number of at least 1"),
-        ("margin", math.isfinite(args.margin) and args.margin > 1.0, "a finite number above 1"),
-        ("threshold", 0.0 < args.threshold < 1.0, "a number strictly between 0 and 1"),
-    ):
-        if not ok:
-            raise ConfigError(f"--{flag}: expected {wanted}, got {getattr(args, flag)!r}")
-
-
 def cmd_spectrum(args) -> int:
-    _check_spectrum_flags(args)
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError(
+            f"--threshold: expected a number strictly between 0 and 1, got {args.threshold!r}"
+        )
     resolved = resolve_scenario(
         args.scenario, tuple(args.set or ()), args.convention
     )
     _, cfg, _, _, _ = objects_from_tree(resolved.tree)
-    cfg_s, spec = _surrogate_spectrum(
-        cfg, args.pulses, args.pad, args.margin, args.max_samples
-    )
+    cfg_s, spec = _surrogate_spectrum(cfg)
     peaks = spectrum_mod.extract_peaks(spec, args.threshold)
     try:
         report = spectrum_mod.verify_comb_structure(peaks, cfg_s, spec.resolution)
@@ -680,10 +671,7 @@ def cmd_validate_rates(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.quick:
-        result = calibrate_fig4(tau_grid=(0.198,), refine_tau=False)
-    else:
-        result = calibrate_fig4()
+    result = calibrate_fig4(quick=args.quick)
     print(f"tau = {_g(result.tau)}")
     print(f"period = {_g(result.period)}")
     print(f"n_pulses = {result.n_pulses}")
@@ -791,9 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("enforce", "warn", "off"),
         default="enforce",
     )
-    p_sweep.add_argument(
-        "--cap", type=int, default=SWEEP_CAP, help="maximum grid size"
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_spec = sub.add_parser(
@@ -802,28 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_options(p_spec)
     p_spec.add_argument("--out", default="combcool-out", help="output directory")
     p_spec.add_argument(
-        "--pulses", type=int, default=32, help="pulses in the analyzed train"
-    )
-    p_spec.add_argument(
-        "--pad",
-        type=float,
-        default=1.0,
-        help="observation window as a multiple of the train duration",
-    )
-    p_spec.add_argument(
         "--threshold", type=float, default=0.05, help="peak threshold fraction"
-    )
-    p_spec.add_argument(
-        "--margin",
-        type=float,
-        default=1.2,
-        help="sample-rate margin over the admissible minimum",
-    )
-    p_spec.add_argument(
-        "--max-samples",
-        type=int,
-        default=SPECTRUM_MAX_SAMPLES,
-        help="refuse syntheses needing more samples than this",
     )
     p_spec.set_defaults(func=cmd_spectrum)
 

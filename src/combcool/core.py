@@ -197,7 +197,6 @@ class RateReport:
 
     deviation: float
     within_tolerance: bool
-    mode: RateCheckMode
     message: str
 
 
@@ -228,9 +227,7 @@ def validate_rates(
             raise RateRelationViolation(message)
         if mode is RateCheckMode.WARN:
             warnings.warn(message, stacklevel=2)
-    return RateReport(
-        deviation=deviation, within_tolerance=ok, mode=mode, message=message
-    )
+    return RateReport(deviation=deviation, within_tolerance=ok, message=message)
 
 
 # Component order of the real 9-vector representation used by the integrator.

@@ -14,9 +14,10 @@ name         configuration and headline behaviour
 ``fig4``     sine-chirped strong-drive comb, closed system; stepwise,
              near-complete 1->3 transfer completing in about 109 pulses.
 ``fig5``     weak standard comb with collisional dephasing; incoherent
-             accumulation saturating near a 0.38 yield.
+             accumulation towards the pulse-end fixed point I/3, a 1/3 yield
+             (0.342 after 3200 pulses).
 ``fig5sp``   fig5 plus spontaneous emission; the extra 2->3 decay channel
-             raises the steady yield to about 0.45.
+             raises the pulse-end fixed point to a 0.4708 yield.
 ``fig6sin``  sine-chirped strong comb with decoherence, short period (the
              inter-pulse coherences survive the gaps); yield stays above 0.8.
 ``fig6cos``  cosine-chirped strong comb with decoherence, long period; the
@@ -91,10 +92,6 @@ __all__ = [
     "compare_runs",
     "evaluate_expectations",
     "get_preset",
-    "preset_fig3",
-    "preset_fig4",
-    "preset_fig5",
-    "preset_fig6",
     "run_preset",
     "transfer_pulse",
     "validate_rates",
@@ -150,8 +147,6 @@ FIG6_SINE_PULSES = 130
 #: Default scheduled length and early-stop patience of the steady-state runs.
 LONG_RUN_PULSES = 3200
 EARLY_STOP_PULSES = 50
-
-PRESET_NAMES = ("fig3", "fig4", "fig5", "fig5sp", "fig6sin", "fig6cos", "fig6std")
 
 #: Provenance tags carried by expectations: values quoted from the reference
 #: results a preset reproduces, versus values fixed by this package's own
@@ -326,7 +321,31 @@ def _weak_times(convention: str) -> tuple[float, float]:
     )
 
 
-def preset_fig3(convention: str = DEFAULT_CONVENTION) -> ScenarioPreset:
+def _weak_preset(
+    name: str,
+    convention: str,
+    rabi: float,
+    rates: DecoherenceRates,
+    expected: tuple[Expectation, ...],
+    note: str,
+) -> ScenarioPreset:
+    """A weak-drive preset: resonant standard comb of LONG_RUN_PULSES pulses."""
+    tau, period = _weak_times(convention)
+    return ScenarioPreset(
+        name=name,
+        sys=_weak_system(),
+        cfg=PulseTrainConfig(
+            rabi_peak=rabi, omega_L=WEAK_OMEGA32, tau=tau, T=period, N=LONG_RUN_PULSES
+        ),
+        rates=rates,
+        rho0=DensityMatrix.pure(1),
+        icfg=IntegratorConfig(sampler_stride=50, early_stop_pulses=EARLY_STOP_PULSES),
+        expected=expected,
+        note=note,
+    )
+
+
+def _fig3(convention: str) -> ScenarioPreset:
     """Resonant weak standard comb: transient excited population near one half.
 
     The carrier sits exactly on the 3-2 transition, the drive is weak
@@ -334,19 +353,6 @@ def preset_fig3(convention: str = DEFAULT_CONVENTION) -> ScenarioPreset:
     system is closed.  Population cycles through the excited state; its
     transient maximum is the headline observable.
     """
-    tau, period = _weak_times(convention)
-    sys = _weak_system()
-    cfg = PulseTrainConfig(
-        rabi_peak=FIG3_RABI,
-        omega_L=WEAK_OMEGA32,
-        tau=tau,
-        T=period,
-        N=LONG_RUN_PULSES,
-    )
-    icfg = IntegratorConfig(
-        sampler_stride=50,
-        early_stop_pulses=EARLY_STOP_PULSES,
-    )
     expected = (
         Expectation(
             "max_rho22",
@@ -355,19 +361,46 @@ def preset_fig3(convention: str = DEFAULT_CONVENTION) -> ScenarioPreset:
             note="transient excited population may rise to about one half",
         ),
     )
-    return ScenarioPreset(
-        name="fig3",
-        sys=sys,
-        cfg=cfg,
-        rates=DecoherenceRates.none(),
-        rho0=DensityMatrix.pure(1),
-        icfg=icfg,
-        expected=expected,
-        note="resonant weak standard comb, closed system",
+    return _weak_preset(
+        "fig3", convention, FIG3_RABI, DecoherenceRates.none(), expected,
+        "resonant weak standard comb, closed system",
     )
 
 
-def preset_fig4() -> ScenarioPreset:
+def _fig5_family(convention: str, spontaneous: bool) -> ScenarioPreset:
+    """Weak standard comb with decoherence: incoherent accumulation.
+
+    The weak-drive geometry at a tenfold stronger drive than fig3, with
+    collisional dephasing on both driven legs (the 1-3 coherence is
+    collision-free, so the dephasing rates satisfy the additive relation
+    with a zero 1-3 rate).  Without spontaneous emission every pulse is
+    unitary and the dephasing is unital, so the pulse-end fixed point is
+    I/3 and the yield tends to exactly 1/3 (0.342 after 3200 pulses).
+    fig5sp adds equal spontaneous-emission branches from the excited state,
+    which feed the target state and raise the pulse-end fixed point to
+    0.4708.
+    """
+    gamma = WEAK_RATE if spontaneous else 0.0
+    rates = DecoherenceRates(
+        gamma21=gamma, gamma23=gamma, Gamma21=WEAK_RATE, Gamma31=0.0, Gamma23=WEAK_RATE
+    )
+    expected = (
+        Expectation(
+            "final_yield",
+            target=0.45 if spontaneous else 0.38,
+            tolerance=0.05,
+            provenance=PROVENANCE_REFERENCE,
+            note="steady-state yield of the decoherent standard comb",
+        ),
+    )
+    return _weak_preset(
+        "fig5sp" if spontaneous else "fig5", convention, FIG5_RABI, rates, expected,
+        "weak standard comb, collisional dephasing"
+        + (" + spontaneous emission" if spontaneous else ""),
+    )
+
+
+def _fig4(convention: str) -> ScenarioPreset:
     """Sine-chirped strong comb, closed system: stepwise near-full transfer.
 
     Carrier on the 3-2 transition, sinusoidal intra-pulse phase of amplitude
@@ -377,11 +410,9 @@ def preset_fig4() -> ScenarioPreset:
     the two-photon comb tooth onto the 1-3 resonance while both one-photon
     legs stay stroboscopically detuned, so population climbs in adiabatic
     steps with the excited state only transiently occupied, completing in
-    about 109 pulses.
+    about 109 pulses.  The convention is not used: the strong-drive presets
+    are defined by calibrated dimensionless constants.
     """
-    sys = _strong_system()
-    cfg = _strong_train(FIG4_PERIOD, FIG4_PULSES)
-    icfg = IntegratorConfig(interpulse_phases=True)
     expected = (
         Expectation(
             "final_yield",
@@ -405,166 +436,123 @@ def preset_fig4() -> ScenarioPreset:
     )
     return ScenarioPreset(
         name="fig4",
-        sys=sys,
-        cfg=cfg,
+        sys=_strong_system(),
+        cfg=_strong_train(FIG4_PERIOD, FIG4_PULSES),
         rates=DecoherenceRates.none(),
         rho0=DensityMatrix.pure(1),
-        icfg=icfg,
+        icfg=IntegratorConfig(interpulse_phases=True),
         expected=expected,
         note="sine-chirped strong comb, closed system, calibrated (tau, T)",
     )
 
 
-def preset_fig5(
-    with_spontaneous: bool = False, convention: str = DEFAULT_CONVENTION
+def _fig6_preset(
+    name: str,
+    cfg: PulseTrainConfig,
+    sampler_stride: int,
+    expected: tuple[Expectation, ...],
+    note: str,
 ) -> ScenarioPreset:
-    """Weak standard comb with decoherence: incoherent steady-state yield.
-
-    The weak-drive geometry at a tenfold stronger drive than fig3, with
-    collisional dephasing on both driven legs (the 1-3 coherence is
-    collision-free, so the dephasing rates satisfy the additive relation
-    with a zero 1-3 rate).  with_spontaneous adds equal spontaneous-emission
-    branches from the excited state, which feeds the target state and raises
-    the steady yield from about 0.38 to about 0.45.
-    """
-    tau, period = _weak_times(convention)
-    sys = _weak_system()
-    cfg = PulseTrainConfig(
-        rabi_peak=FIG5_RABI,
-        omega_L=WEAK_OMEGA32,
-        tau=tau,
-        T=period,
-        N=LONG_RUN_PULSES,
-    )
-    gamma = WEAK_RATE if with_spontaneous else 0.0
-    rates = DecoherenceRates(
-        gamma21=gamma,
-        gamma23=gamma,
-        Gamma21=WEAK_RATE,
-        Gamma31=0.0,
-        Gamma23=WEAK_RATE,
-    )
-    icfg = IntegratorConfig(
-        sampler_stride=50,
-        early_stop_pulses=EARLY_STOP_PULSES,
-    )
-    target = 0.45 if with_spontaneous else 0.38
-    expected = (
-        Expectation(
-            "final_yield",
-            target=target,
-            tolerance=0.05,
-            provenance=PROVENANCE_REFERENCE,
-            note="steady-state yield of the decoherent standard comb",
-        ),
-    )
-    name = "fig5sp" if with_spontaneous else "fig5"
-    return ScenarioPreset(
-        name=name,
-        sys=sys,
-        cfg=cfg,
-        rates=rates,
-        rho0=DensityMatrix.pure(1),
-        icfg=icfg,
-        expected=expected,
-        note=(
-            "weak standard comb, collisional dephasing"
-            + (" + spontaneous emission" if with_spontaneous else "")
-        ),
-    )
-
-
-def preset_fig6(modulation: str = "sine") -> ScenarioPreset:
     """Chirp-parity comparison under identical decoherence.
 
     All three variants share the strong-drive geometry and the same rate set
     (equal spontaneous and dephasing rates on both driven legs, collision-free
-    1-3 coherence).  The modulation parity decides the outcome:
-
-    - "sine": odd chirp at a short calibrated period (FIG6_SINE_PERIOD), so
-      the inter-pulse gaps cost little coherence; the stepwise mechanism
-      survives and the yield stays above 0.8.
-    - "cosine": even chirp at the long calibrated period; the drive settles
-      into a stationary equal 1-3 mixture with a large 1-3 coherence (the
-      undamped coherence of the rate set) instead of transferring.
-    - "none": no chirp at the long period; incoherent accumulation with a
-      degraded mid-range yield.
+    1-3 coherence); the modulation parity decides the outcome.
     """
-    if modulation not in ("sine", "cosine", "none"):
-        raise ValueError(
-            f"modulation must be 'sine', 'cosine' or 'none', got {modulation!r}"
-        )
-    sys = _strong_system()
-    rates = DecoherenceRates(
-        gamma21=FIG6_RATE,
-        gamma23=FIG6_RATE,
-        Gamma21=FIG6_RATE,
-        Gamma31=0.0,
-        Gamma23=FIG6_RATE,
-    )
-    if modulation == "sine":
-        cfg = _strong_train(FIG6_SINE_PERIOD, FIG6_SINE_PULSES)
-        expected = (
-            Expectation(
-                "final_yield",
-                lo=0.8,
-                provenance=PROVENANCE_REFERENCE,
-                note="odd chirp keeps near-full transfer under decoherence",
-            ),
-        )
-        name, note = "fig6sin", "sine chirp, decoherent, short calibrated period"
-    elif modulation == "cosine":
-        cfg = _strong_train(FIG4_PERIOD, LONG_RUN_PULSES, chirp="cosine")
-        expected = (
-            Expectation(
-                "final_rho11",
-                target=0.5,
-                tolerance=0.1,
-                provenance=PROVENANCE_REFERENCE,
-                note="stationary equal population of the two lower states",
-            ),
-            Expectation(
-                "final_yield",
-                target=0.5,
-                tolerance=0.1,
-                provenance=PROVENANCE_REFERENCE,
-                note="stationary equal population of the two lower states",
-            ),
-            Expectation(
-                "final_coherence13",
-                lo=0.25,
-                provenance=PROVENANCE_DERIVED,
-                note="at least half the maximum-coherence bound sqrt(r11*r33)",
-            ),
-        )
-        name, note = "fig6cos", "cosine chirp, decoherent, long period"
-    else:
-        cfg = _strong_train(FIG4_PERIOD, LONG_RUN_PULSES, chirp="none")
-        expected = (
-            Expectation(
-                "final_yield",
-                lo=0.2,
-                hi=0.7,
-                provenance=PROVENANCE_DERIVED,
-                note="degraded mid-range yield, like the weak decoherent comb",
-            ),
-        )
-        name, note = "fig6std", "standard comb, decoherent, long period"
-    icfg = IntegratorConfig(
-        sampler_stride=10 if modulation == "sine" else 50,
-        early_stop_pulses=EARLY_STOP_PULSES,
-        interpulse_phases=True,
-    )
     return ScenarioPreset(
         name=name,
-        sys=sys,
+        sys=_strong_system(),
         cfg=cfg,
-        rates=rates,
+        rates=DecoherenceRates(
+            gamma21=FIG6_RATE, gamma23=FIG6_RATE, Gamma21=FIG6_RATE, Gamma31=0.0,
+            Gamma23=FIG6_RATE,
+        ),
         rho0=DensityMatrix.pure(1),
-        icfg=icfg,
+        icfg=IntegratorConfig(
+            sampler_stride=sampler_stride,
+            early_stop_pulses=EARLY_STOP_PULSES,
+            interpulse_phases=True,
+        ),
         expected=expected,
         note=note,
     )
+
+
+def _fig6sin(convention: str) -> ScenarioPreset:
+    """Odd chirp at a short calibrated period (FIG6_SINE_PERIOD): the
+    inter-pulse gaps cost little coherence, so the stepwise mechanism
+    survives and the yield stays above 0.8."""
+    expected = (
+        Expectation(
+            "final_yield",
+            lo=0.8,
+            provenance=PROVENANCE_REFERENCE,
+            note="odd chirp keeps near-full transfer under decoherence",
+        ),
+    )
+    return _fig6_preset(
+        "fig6sin", _strong_train(FIG6_SINE_PERIOD, FIG6_SINE_PULSES), 10, expected,
+        "sine chirp, decoherent, short calibrated period",
+    )
+
+
+def _fig6cos(convention: str) -> ScenarioPreset:
+    """Even chirp at the long calibrated period: the drive settles into a
+    stationary equal 1-3 mixture with a large 1-3 coherence (the undamped
+    coherence of the rate set) instead of transferring."""
+    note = "stationary equal population of the two lower states"
+    expected = (
+        Expectation(
+            "final_rho11", target=0.5, tolerance=0.1, provenance=PROVENANCE_REFERENCE,
+            note=note,
+        ),
+        Expectation(
+            "final_yield", target=0.5, tolerance=0.1, provenance=PROVENANCE_REFERENCE,
+            note=note,
+        ),
+        Expectation(
+            "final_coherence13",
+            lo=0.25,
+            provenance=PROVENANCE_DERIVED,
+            note="at least half the maximum-coherence bound sqrt(r11*r33)",
+        ),
+    )
+    return _fig6_preset(
+        "fig6cos", _strong_train(FIG4_PERIOD, LONG_RUN_PULSES, chirp="cosine"), 50,
+        expected, "cosine chirp, decoherent, long period",
+    )
+
+
+def _fig6std(convention: str) -> ScenarioPreset:
+    """No chirp at the long period: incoherent accumulation with a degraded
+    mid-range yield."""
+    expected = (
+        Expectation(
+            "final_yield",
+            lo=0.2,
+            hi=0.7,
+            provenance=PROVENANCE_DERIVED,
+            note="degraded mid-range yield, like the weak decoherent comb",
+        ),
+    )
+    return _fig6_preset(
+        "fig6std", _strong_train(FIG4_PERIOD, LONG_RUN_PULSES, chirp="none"), 50,
+        expected, "standard comb, decoherent, long period",
+    )
+
+
+#: Preset builders by public name; each takes the frequency convention.
+_PRESETS = {
+    "fig3": _fig3,
+    "fig4": _fig4,
+    "fig5": lambda convention: _fig5_family(convention, spontaneous=False),
+    "fig5sp": lambda convention: _fig5_family(convention, spontaneous=True),
+    "fig6sin": _fig6sin,
+    "fig6cos": _fig6cos,
+    "fig6std": _fig6std,
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def get_preset(name: str, convention: str = DEFAULT_CONVENTION) -> ScenarioPreset:
@@ -574,32 +562,14 @@ def get_preset(name: str, convention: str = DEFAULT_CONVENTION) -> ScenarioPrese
     laboratory quantities (the weak-drive family); the strong-drive presets
     are defined directly by calibrated dimensionless constants.
     """
-    if name == "fig3":
-        return preset_fig3(convention)
-    if name == "fig4":
-        return preset_fig4()
-    if name == "fig5":
-        return preset_fig5(False, convention)
-    if name == "fig5sp":
-        return preset_fig5(True, convention)
-    if name == "fig6sin":
-        return preset_fig6("sine")
-    if name == "fig6cos":
-        return preset_fig6("cosine")
-    if name == "fig6std":
-        return preset_fig6("none")
-    raise ValueError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    return _PRESETS[name](convention)
 
 
-def run_preset(preset: ScenarioPreset, icfg: IntegratorConfig | None = None) -> Trajectory:
-    """Propagate a preset, optionally under a different integrator setup."""
-    return propagate(
-        preset.rho0,
-        preset.cfg,
-        preset.sys,
-        preset.rates,
-        icfg if icfg is not None else preset.icfg,
-    )
+def run_preset(preset: ScenarioPreset) -> Trajectory:
+    """Propagate a preset under its own integrator setup."""
+    return propagate(preset.rho0, preset.cfg, preset.sys, preset.rates, preset.icfg)
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +642,11 @@ def _summary_row(name: str, traj: Trajectory) -> ComparisonRow:
 
 def compare_runs(
     presets: list[ScenarioPreset] | tuple[ScenarioPreset, ...],
-    icfg: IntegratorConfig | None = None,
 ) -> ComparisonTable:
     """Run two or more presets on the same level system side by side.
 
-    Each preset runs under its own integrator setup unless a shared one is
-    given.  Runs are sequential and pure, so the table is bit-identical
-    across repetitions.  Duplicate names are disambiguated in the trajectory
+    Each preset runs under its own integrator setup.  Runs are sequential
+    and pure, so the table is bit-identical across repetitions.  Duplicate names are disambiguated in the trajectory
     mapping by a numeric suffix.
     """
     presets = tuple(presets)
@@ -694,7 +662,7 @@ def compare_runs(
     rows = []
     trajectories: dict[str, Trajectory] = {}
     for p in presets:
-        traj = run_preset(p, icfg)
+        traj = run_preset(p)
         key = p.name
         serial = 2
         while key in trajectories:
@@ -712,8 +680,10 @@ def compare_runs(
 #: Default pulse-duration grid: 2, 3, 5 and 10 fs expressed in the strong
 #: unit (70 THz, angular convention).
 CALIBRATION_TAU_GRID = (0.14, 0.21, 0.35, 0.70)
-#: Default coarse period base: 200 ps in the strong unit.
-CALIBRATION_PERIOD_GRID = (14000.0,)
+#: Coarse period base: 200 ps in the strong unit.
+CALIBRATION_PERIOD_BASE = 14000.0
+#: Pulses of every calibration staircase.
+CALIBRATION_PROBE_PULSES = 260
 
 
 @dataclass(frozen=True)
@@ -749,7 +719,7 @@ def _single_pulse_map(
     it is read-only, and a later propagate with the same pulse, rates and
     step reuses it instead of integrating the window again.
     """
-    cfg = _strong_train(max(CALIBRATION_PERIOD_GRID), 1, tau)
+    cfg = _strong_train(CALIBRATION_PERIOD_BASE, 1, tau)
     step = resolve_step(icfg, cfg, sys)
     w = icfg.window_sigmas * tau
     _, m_fine = _window_map((-w, w), step, cfg, sys, DecoherenceRates.none())
@@ -832,39 +802,25 @@ def _better(a: CalibrationPoint, b: CalibrationPoint | None) -> bool:
     return a.peak_yield > b.peak_yield
 
 
-def calibrate_fig4(
-    tau_grid: tuple[float, ...] | None = None,
-    period_grid: tuple[float, ...] | None = None,
-    n_pulse_probe: int = 260,
-    refine_tau: bool = True,
-    icfg: IntegratorConfig | None = None,
-) -> CalibrationResult:
+def calibrate_fig4(quick: bool = False) -> CalibrationResult:
     """Scan pulse durations and repetition periods for stepwise transfer.
 
-    For every pulse duration on the grid the single-pulse superoperator is
-    integrated once; a candidate period then costs one 9x9 one-period map
-    and its powers by repeated doubling (about log2(n_pulse_probe) matrix
-    products), so the period can be refined finely around each coarse base.
-    A candidate is feasible when its first yield peak exceeds 0.95 with the
-    95%-transfer point between 98 and 120 pulses; among feasible candidates
-    the highest peak wins.  With refine_tau the winning duration is polished
-    on a local grid (+/- 0.03 in steps of 0.006).  The returned numbers are
+    For every pulse duration on CALIBRATION_TAU_GRID the single-pulse
+    superoperator is integrated once; a candidate period then costs one 9x9
+    one-period map and its powers by repeated doubling (about
+    log2(CALIBRATION_PROBE_PULSES) matrix products), so the period can be
+    refined finely around CALIBRATION_PERIOD_BASE.  A candidate is feasible
+    when its first yield peak exceeds 0.95 with the 95%-transfer point
+    between 98 and 120 pulses; among feasible candidates the highest peak
+    wins.  The winning duration is then polished on a local grid (+/- 0.03
+    in steps of 0.006).  quick skips the duration scan and refines the
+    period at the frozen FIG4_TAU only.  The returned numbers are
     re-measured with a full propagation at the chosen point; the module
-    constants FIG4_TAU / FIG4_PERIOD / FIG4_PULSES were frozen from this
-    procedure's default run.  An empty tau_grid or period_grid, or an
-    n_pulse_probe below 1, raises ValueError.
+    constants FIG4_TAU / FIG4_PERIOD / FIG4_PULSES were frozen from the
+    full run.
     """
-    taus = tuple(tau_grid) if tau_grid is not None else CALIBRATION_TAU_GRID
-    bases = (
-        tuple(period_grid) if period_grid is not None else CALIBRATION_PERIOD_GRID
-    )
-    if not taus:
-        raise ValueError("tau_grid must hold at least one pulse duration")
-    if not bases:
-        raise ValueError("period_grid must hold at least one period")
-    if n_pulse_probe < 1:
-        raise ValueError(f"n_pulse_probe must be at least 1, got {n_pulse_probe!r}")
-    icfg = icfg if icfg is not None else IntegratorConfig(interpulse_phases=True)
+    taus = (FIG4_TAU,) if quick else CALIBRATION_TAU_GRID
+    icfg = IntegratorConfig(interpulse_phases=True)
     sys = _strong_system()
 
     scanned: list[CalibrationPoint] = []
@@ -873,17 +829,19 @@ def calibrate_fig4(
     def consider(tau: float) -> None:
         nonlocal best
         pulse_map = _single_pulse_map(tau, sys, icfg)
-        for base in bases:
-            point = replace(
-                _refine_period(pulse_map, base, sys, n_pulse_probe), tau=tau
-            )
-            scanned.append(point)
-            if _better(point, best):
-                best = point
+        point = replace(
+            _refine_period(
+                pulse_map, CALIBRATION_PERIOD_BASE, sys, CALIBRATION_PROBE_PULSES
+            ),
+            tau=tau,
+        )
+        scanned.append(point)
+        if _better(point, best):
+            best = point
 
     for tau in taus:
         consider(tau)
-    if refine_tau:
+    if not quick:
         seen = set(taus)
         for tau in np.arange(best.tau - 0.03, best.tau + 0.03 + 1e-12, 0.006):
             tau = round(float(tau), 6)

@@ -2,18 +2,23 @@
 
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from combcool import cli, dynamics
 from combcool.cli import (
     _ROW_CHUNK,
     EXIT_CONFIG,
+    EXIT_INTEGRATION,
     EXIT_OK,
     EXIT_RATES,
     _write_rows,
+    build_parser,
     config_lines,
     main,
     parse_axis,
@@ -22,7 +27,6 @@ from combcool.cli import (
     summary_lines,
     write_spectrum_csv,
 )
-from combcool.scenarios import CALIBRATION_PERIOD_GRID
 
 from helpers import (
     DESK_OMEGA_L,
@@ -507,12 +511,6 @@ def test_spectrum_verb_verifies_desk_scale_comb(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [
-        ("--pulses", "0"),
-        ("--pad", "0"),
-        ("--pad", "nan"),
-        ("--pad", "inf"),
-        ("--margin", "0"),
-        ("--margin", "nan"),
         ("--threshold", "nan"),
         ("--threshold", "1"),
     ],
@@ -530,6 +528,49 @@ def test_spectrum_verb_refuses_oversized_synthesis(tmp_path, capsys):
     code = run_cli("spectrum", "--scenario", "fig4", "--out", str(tmp_path))
     assert code == EXIT_CONFIG
     assert "desk-scale" in capsys.readouterr().err
+
+
+def test_run_checks_the_spectrum_size_before_propagating(tmp_path, capsys, monkeypatch):
+    def no_propagate(*args, **kwargs):
+        raise AssertionError("propagate ran before the spectrum size was checked")
+
+    monkeypatch.setattr(cli, "propagate", no_propagate)
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--scenario", "fig4", "--emit", "timeseries,summary,spectrum", "--out", str(out),
+    )
+    assert code == EXIT_CONFIG
+    assert "spectrum would need 12983008 samples (cap 4000000)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_emits_the_spectrum_of_the_spectrum_verb(tmp_path):
+    assert run_cli(
+        "run", "--scenario", "fig6sin", "--emit", "spectrum", "--out", str(tmp_path / "run")
+    ) == EXIT_OK
+    assert run_cli("spectrum", "--scenario", "fig6sin", "--out", str(tmp_path / "spec")) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["spectrum.csv"]
+    spectrum_csv = (tmp_path / "run" / "spectrum.csv").read_bytes()
+    assert spectrum_csv == (tmp_path / "spec" / "spectrum.csv").read_bytes()
+
+
+# --- integration failure --------------------------------------------------------------
+
+
+def test_integration_failure_exits_with_code_3(tmp_path, capsys, monkeypatch):
+    generator = dynamics._generator_matrices
+
+    def leaky_generator(*args):
+        L = generator(*args)
+        L[:, 0, 0] -= 1e-6  # rho11 leaks out of the trace at a known rate
+        return L
+
+    monkeypatch.setattr(dynamics, "_generator_matrices", leaky_generator)
+    out = tmp_path / "out"
+    code = run_cli("run", "--scenario", "fig3", "--set", "train.N=2", "--out", str(out))
+    assert code == EXIT_INTEGRATION
+    assert "integration failed: |trace - 1|" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- validate-rates verb ------------------------------------------------------------
@@ -599,11 +640,38 @@ def test_calibrate_quick_verb(tmp_path, capsys):
     assert float(values["final_yield"]) > 0.95
     header, *rows = (tmp_path / "calibration.csv").read_text(encoding="utf-8").splitlines()
     assert header == "tau,period,peak_yield,peak_pulse,transfer_pulse"
-    # --quick scans the frozen pulse duration around each base period once
-    assert len(rows) == len(CALIBRATION_PERIOD_GRID)
+    # --quick scans the frozen pulse duration around the one base period
+    assert len(rows) == 1
     cells = [row.split(",") for row in rows]
     assert all(c[3].isdigit() and c[4].isdigit() for c in cells)
     assert values["period"] in [c[1] for c in cells]
+
+
+# --- README examples ---------------------------------------------------------------
+
+
+def _readme_commands() -> list[str]:
+    """Every `combcool ...` command of README's sh blocks, continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands, in_sh = [], False
+    for line in readme.read_text(encoding="utf-8").replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            in_sh = line.strip() == "```sh"
+        elif in_sh and line.startswith("combcool "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    verbs = {shlex.split(command, comments=True)[1] for command in commands}
+    assert verbs == {"run", "sweep", "spectrum", "validate-rates", "calibrate-fig4"}
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 # --- module execution ------------------------------------------------------------------

@@ -70,6 +70,16 @@ def test_field_vectorized_matches_scalar():
     np.testing.assert_allclose(vec, scalars, atol=1e-14)
 
 
+def test_field_of_unsorted_times_is_the_permuted_field():
+    cfg = _cfg(modulation=Modulation.sine(2.0, 1.5), N=3)
+    ts = np.linspace(-3.0, 2.0 * cfg.T + 3.0, 301)
+    perm = np.random.default_rng(7).permutation(ts.size)
+    sorted_field = field_amplitude(ts, cfg)
+    assert np.array_equal(field_amplitude(ts[perm], cfg), sorted_field[perm])
+    grid = field_amplitude(ts[perm].reshape(7, 43), cfg)
+    assert np.array_equal(grid, sorted_field[perm].reshape(7, 43))
+
+
 def test_window_truncation_is_exact_beyond_cutoff():
     cfg = _cfg()
     s_out = DEFAULT_WINDOW_SIGMAS * cfg.tau + 1e-6
