@@ -21,12 +21,12 @@ line endings; CSV numbers carry 17 significant digits so they round-trip
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
@@ -303,6 +303,14 @@ def _check_rates(rates: DecoherenceRates, rates_mode: str) -> None:
 
 #: Rows rendered per formatting call in _write_rows; bounds the text held in memory.
 _ROW_CHUNK = 4096
+#: Lines read per chunk when the plot files are cut from timeseries.csv.  Each
+#: line splits into five str objects, so _ROW_CHUNK lines would hold about
+#: 4 MB of text at once, above fig5sp's peak RSS; 1024 lines fit in the
+#: memory that _write_rows has already freed.
+_READ_CHUNK = 1024
+
+TIMESERIES_HEADER = "t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace"
+_PLOT_NAMES = ("rho11", "rho22", "rho33")
 
 
 def _g(value) -> str:
@@ -314,31 +322,32 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_rows(path: Path, header: str, block: np.ndarray) -> None:
-    """Write a header line, then the rows of a float (n, m) block as CSV.
+def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Write a header line, then the rows of the given columns as CSV.
 
-    Every value is rendered as '%.17g', which is the same text as _g.  The
-    rows go out _ROW_CHUNK at a time, each chunk through one %-format over
-    its values, so the text held in memory stays bounded however long the
-    block is.
+    Each column is a float array of n rows, 1-D (one CSV column) or (n, k)
+    (k CSV columns); a row is the columns' rows side by side.  Every value
+    is rendered as '%.17g', which is the same text as _g.  The rows go out
+    _ROW_CHUNK at a time: each chunk's slices of the columns are stacked and
+    rendered through one %-format, so neither the stacked block nor the
+    text of the whole file is ever held in memory.
     """
-    block = np.asarray(block, dtype=float)
-    n, m = block.shape
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns differ in length")
+    m = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     row = ",".join(["%.17g"] * m) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for start in range(0, n, _ROW_CHUNK):
-            part = block[start : start + _ROW_CHUNK]
+            part = np.column_stack([c[start : start + _ROW_CHUNK] for c in columns])
             fh.write(row * len(part) % tuple(part.ravel().tolist()))
 
 
 def write_timeseries(path: Path, traj: Trajectory) -> None:
-    _write_rows(
-        path,
-        "t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace",
-        np.column_stack((traj.times, traj.data, traj.trace_series)),
-    )
+    _write_rows(path, TIMESERIES_HEADER, traj.times, traj.data, traj.trace_series)
 
 
 def summary_lines(resolved: ResolvedRun, traj: Trajectory) -> list[str]:
@@ -388,9 +397,7 @@ def _surrogate_spectrum(cfg: PulseTrainConfig):
 
 
 def write_spectrum_csv(path: Path, spec) -> None:
-    _write_rows(
-        path, "omega,intensity", np.column_stack((spec.frequencies, spec.intensities))
-    )
+    _write_rows(path, "omega,intensity", spec.frequencies, spec.intensities)
 
 
 _PLOT_STUB = '''#!/usr/bin/env python3
@@ -416,15 +423,58 @@ plt.show()
 '''
 
 
-def write_plotdata(directory: Path, traj: Trajectory) -> None:
+def write_plotdata(directory: Path, traj: Trajectory, timeseries: Path | None = None) -> None:
+    """Write t,rhoJJ for J = 1, 2, 3 to rhoJJ.csv in directory, plus plot.py.
+
+    With timeseries, the path of the timeseries.csv just written for traj,
+    the rows are cut from that file's text instead of being rendered again:
+    fields 0 and J of each line are the same '%.17g' strings that rendering
+    would produce, so the files are byte-identical either way.
+    """
     directory.mkdir(parents=True, exist_ok=True)
-    for column, name in ((0, "rho11"), (1, "rho22"), (2, "rho33")):
-        _write_rows(
-            directory / f"{name}.csv",
-            f"t,{name}",
-            np.column_stack((traj.times, traj.data[:, column])),
-        )
+    if timeseries is None:
+        for column, name in enumerate(_PLOT_NAMES):
+            _write_rows(directory / f"{name}.csv", f"t,{name}", traj.times, traj.data[:, column])
+    else:
+        _project_plotdata(directory, traj, timeseries)
     (directory / "plot.py").write_text(_PLOT_STUB, encoding="utf-8")
+
+
+def _project_plotdata(directory: Path, traj: Trajectory, timeseries: Path) -> None:
+    """Cut the population files from timeseries.csv, _READ_CHUNK lines at a time.
+
+    Raises ValueError, and removes the partial plot files, if the file does
+    not hold traj: another header, a short line, a row count other than
+    traj.n_samples, or a first or last t other than traj's.
+    """
+    paths = [directory / f"{name}.csv" for name in _PLOT_NAMES]
+    try:
+        with contextlib.ExitStack() as stack:
+            src = stack.enter_context(open(timeseries, encoding="utf-8"))
+            if src.readline() != TIMESERIES_HEADER + "\n":
+                raise ValueError("unexpected header")
+            outs = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
+            for out, name in zip(outs, _PLOT_NAMES):
+                out.write(f"t,{name}\n")
+            n_rows, t = 0, ()
+            while lines := list(itertools.islice(src, _READ_CHUNK)):
+                fields = [line.split(",", 4) for line in lines]
+                if not lines[-1].endswith("\n") or min(map(len, fields)) < 5:
+                    raise ValueError(f"a line after row {n_rows} is cut short")
+                t, rho11, rho22, rho33, _ = zip(*fields)
+                if n_rows == 0 and t[0] != _g(traj.times[0]):
+                    raise ValueError(f"first t is {t[0]}, not {_g(traj.times[0])}")
+                for out, column in zip(outs, (rho11, rho22, rho33)):
+                    out.write("\n".join(map(",".join, zip(t, column))) + "\n")
+                n_rows += len(lines)
+        if n_rows != traj.n_samples:
+            raise ValueError(f"{n_rows} rows, not {traj.n_samples}")
+        if n_rows and t[-1] != _g(traj.times[-1]):
+            raise ValueError(f"last t is {t[-1]}, not {_g(traj.times[-1])}")
+    except ValueError as exc:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise ValueError(f"{timeseries} does not hold the trajectory to plot: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +511,9 @@ def cmd_run(args) -> int:
     if spec is not None:
         write_spectrum_csv(out / "spectrum.csv", spec)
     if "plotdata" in emit:
-        write_plotdata(out / "plotdata", traj)
+        # cut from the timeseries text when there is one, so no value is rendered twice
+        timeseries = out / "timeseries.csv" if "timeseries" in emit else None
+        write_plotdata(out / "plotdata", traj, timeseries)
 
     diag = traj.metadata["diagnostics"]
     print(
@@ -597,6 +649,9 @@ def cmd_sweep(args) -> int:
     if workers <= 1:
         results = [_sweep_point(p) for p in payloads]
     else:
+        # imported here: the other verbs never start a pool, so they skip its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
 

@@ -25,8 +25,11 @@ from combcool.cli import (
     parse_config_text,
     resolve_scenario,
     summary_lines,
+    write_plotdata,
     write_spectrum_csv,
+    write_timeseries,
 )
+from combcool.core import Trajectory
 
 from helpers import (
     DESK_OMEGA_L,
@@ -321,6 +324,84 @@ def test_run_files_match_per_value_writers(tmp_path, preset_runs):
     resolved = resolve_scenario("fig4", (), "angular")
     summary = "\n".join(summary_lines(resolved, traj)) + "\n"
     assert (out / "summary.txt").read_text(encoding="utf-8") == summary
+
+
+def _plot_references(ref, traj):
+    for column, name in enumerate(("rho11", "rho22", "rho33")):
+        write_csv_reference(
+            ref / f"{name}.csv", f"t,{name}", (traj.times, traj.data[:, column])
+        )
+
+
+def test_run_plotdata_alone_matches_per_value_writers(tmp_path, preset_runs):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "fig4", "--emit", "plotdata", "--out", str(out)) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["plotdata"]
+    _plot_references(tmp_path / "ref", preset_runs("fig4"))
+    for name in ("rho11.csv", "rho22.csv", "rho33.csv"):
+        assert (out / "plotdata" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def _odd_trajectory(n_rows: int) -> Trajectory:
+    """Samples with signed zeros, subnormals, infinities and NaNs among the values."""
+    rng = np.random.default_rng(n_rows)
+    data = rng.normal(size=(n_rows, 9)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 9))
+    data.reshape(-1)[::997][: 4 * len(SPECIAL_VALUES)] = SPECIAL_VALUES * 4
+    times = 5e-324 + 0.37 * np.arange(n_rows)
+    return Trajectory(times=times, data=data, pulse_end_indices=[n_rows - 1])
+
+
+def test_projected_plotdata_matches_per_value_writer(tmp_path):
+    traj = _odd_trajectory(2 * _ROW_CHUNK + 17)
+    assert not np.all(np.isfinite(traj.data[:, :3]))
+    write_timeseries(tmp_path / "timeseries.csv", traj)
+    write_plotdata(tmp_path / "plotdata", traj, tmp_path / "timeseries.csv")
+    _plot_references(tmp_path / "ref", traj)
+    for name in ("rho11.csv", "rho22.csv", "rho33.csv"):
+        assert (tmp_path / "plotdata" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+    rendered = tmp_path / "rendered"
+    write_plotdata(rendered, traj)
+    assert {p.name: p.read_bytes() for p in rendered.iterdir()} == {
+        p.name: p.read_bytes() for p in (tmp_path / "plotdata").iterdir()
+    }
+
+
+_DAMAGES = {
+    "last rows dropped": lambda lines: lines[:-3],
+    "middle row dropped": lambda lines: lines[:100] + lines[101:],
+    "first time changed": lambda lines: [lines[0], "1" + lines[1], *lines[2:]],
+    "last time changed": lambda lines: [*lines[:-1], "1" + lines[-1]],
+    "last line cut": lambda lines: [*lines[:-1], lines[-1][:-20]],
+    "header changed": lambda lines: ["t,rho11,rho22,rho33\n", *lines[1:]],
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGES))
+def test_projection_rejects_a_timeseries_that_does_not_match(tmp_path, damage):
+    traj = _odd_trajectory(_ROW_CHUNK + 5)
+    timeseries = tmp_path / "timeseries.csv"
+    write_timeseries(timeseries, traj)
+    lines = timeseries.read_text(encoding="utf-8").splitlines(keepends=True)
+    timeseries.write_text("".join(_DAMAGES[damage](lines)), encoding="utf-8")
+    with pytest.raises(ValueError, match="does not hold the trajectory"):
+        write_plotdata(tmp_path / "plotdata", traj, timeseries)
+    assert not list((tmp_path / "plotdata").glob("*.csv"))
+
+
+def test_write_rows_stacks_mixed_columns(tmp_path):
+    n_rows = 2 * _ROW_CHUNK + 3
+    traj = _odd_trajectory(n_rows)
+    columns = (traj.times, traj.data[:, :4], traj.data[:, 4], traj.data[:, 5:], -traj.times)
+    header = ",".join(f"c{j}" for j in range(12))
+    _write_rows(tmp_path / "rows.csv", header, *columns)
+    write_csv_reference(
+        tmp_path / "ref.csv",
+        header,
+        (traj.times, *traj.data[:, :4].T, traj.data[:, 4], *traj.data[:, 5:].T, -traj.times),
+    )
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    with pytest.raises(ValueError, match="differ in length"):
+        _write_rows(tmp_path / "short.csv", "a,b", traj.times, traj.times[:-1])
 
 
 def test_spectrum_csv_matches_per_value_writer(tmp_path):
@@ -705,3 +786,17 @@ def test_run_outputs_are_identical_across_blas_thread_counts(tmp_path, subproces
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(outputs[0]) == ["summary.txt", "timeseries.csv"]
     assert outputs[0] == outputs[1]
+
+
+def test_importing_the_cli_leaves_out_the_worker_pool(subprocess_pythonpath):
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, combcool.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
