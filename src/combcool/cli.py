@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import functools
 import itertools
 import math
 import os
@@ -104,7 +105,7 @@ def _format_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format(value, ".17g")
+        return _g(value)
     return str(value)
 
 
@@ -301,12 +302,15 @@ def _check_rates(rates: DecoherenceRates, rates_mode: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Rows rendered per formatting call in _write_rows; bounds the text held in memory.
-_ROW_CHUNK = 4096
+#: Rows rendered per _render_rows call in _write_rows.  The kernel holds about
+#: 0.3 kB of temporaries per value, so this bounds them and the text of one
+#: chunk; 512 rows keep weak_long_run's peak RSS within 1% of the previous
+#: per-value formatter, while larger chunks raise it.
+_ROW_CHUNK = 512
 #: Lines read per chunk when the plot files are cut from timeseries.csv.  Each
-#: line splits into five str objects, so _ROW_CHUNK lines would hold about
-#: 4 MB of text at once, above fig5sp's peak RSS; 1024 lines fit in the
-#: memory that _write_rows has already freed.
+#: line splits into five str objects, so 4096 lines would hold about 4 MB of
+#: text at once, above fig5sp's peak RSS; 1024 lines fit in the memory that
+#: _write_rows has already freed.
 _READ_CHUNK = 1024
 
 TIMESERIES_HEADER = "t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace"
@@ -322,6 +326,144 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+#: Decimal exponents covered by the _render_rows tables: floor(log10|x|) of
+#: every x with 1e-200 <= |x| <= 1e200, with a margin of one on each side.
+_E_MIN, _E_MAX = -202, 201
+#: Bytes per value in _render_rows, NUL where unused: 0 the sign, 1-5 the
+#: "0.000" prefix, 6 + 2i digit i (i = 0..16) and 7 + 2i the hole for a point
+#: after it, 40-44 the exponent, 45 the separator, 46-47 padding to 6 words.
+_SLOT = 48
+_LE64 = np.dtype("<u8")
+#: Dekker's splitting constant for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+@functools.cache
+def _render_tables():
+    """Tables for _render_rows, built from Python ints on first use.
+
+    Per decimal exponent e in [_E_MIN, _E_MAX]: 10**(16 - e) as a
+    double-double hi + lo (each part rounded correctly by int true
+    division), the index q of the last digit before the point (-1 for the
+    fixed form below 1, where the point is in the prefix), and one slot
+    template per sign with the sign, the prefix, the point after digit q
+    and the exponent in place.  Also, per 4-digit group g < 10**4, a
+    little-endian word of eight bytes with g's digits at the even bytes and
+    NUL holes at the odd ones.
+    """
+    hi, lo, q, templates = [], [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        p_hi = num / den
+        a, b = p_hi.as_integer_ratio()
+        hi.append(p_hi)
+        lo.append((num * b - a * den) / (den * b))
+        slot = bytearray(_SLOT)
+        if -4 <= e < 0:  # fixed form below 1
+            q.append(-1)
+            prefix = b"0." + b"0" * (-e - 1)
+            slot[1 : 1 + len(prefix)] = prefix
+        elif 0 <= e <= 16:  # fixed form, digits 0..e before the point
+            q.append(e)
+            if e < 16:
+                slot[7 + 2 * e] = ord(".")
+        else:  # scientific form
+            q.append(0)
+            slot[7] = ord(".")
+            exponent = b"e%+03d" % e
+            slot[40 : 40 + len(exponent)] = exponent
+        slot[45] = ord(",")
+        templates.append(bytes(slot))
+        slot[0] = ord("-")
+        templates.append(bytes(slot))
+    g = np.arange(10**4, dtype=_LE64)
+    groups = np.zeros_like(g)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        groups |= (48 + g // place % 10) << np.uint64(16 * j)
+    return (
+        np.array(hi),
+        np.array(lo),
+        np.array(q, dtype=np.intp),
+        np.frombuffer(b"".join(templates), dtype=np.uint8).reshape(-1, _SLOT),
+        groups,
+    )
+
+
+def _render_rows(block: np.ndarray) -> str:
+    """The CSV lines of an (n, m) float block, every value as '%.17g'.
+
+    A finite x with 1e-200 <= |x| <= 1e200 takes the vectorized path:
+    - e = floor(log10|x|), from which every table entry is looked up;
+    - S = |x| * 10**(16 - e) as Dekker's error-free product of |x| and the
+      table's hi, plus |x| * lo: S_hi + S_lo is S to about 1e-14;
+    - floor(S) in int64 (S_hi >= 2**53 is an integer), rounded up if the
+      fraction exceeds 1/2: the 17 significant digits;
+    - the digits, as a leading digit and four 4-digit groups, are laid into
+      a copy of e's slot template, trailing fraction zeros are blanked, and
+      the NUL holes are squeezed out of the chunk with bytes.translate.
+    Every other value takes '%.17g' % x: zero, non-finite, subnormal or out
+    of range, a fraction within 1e-6 of 1/2 (every exact tie, which '%.17g'
+    rounds half to even, lies there), floor(S) outside [1e16, 1e17) (e one
+    off near a power of ten), or digits that reach 1e17 when rounded.
+    Outside the tie band the rounding is exact, so the text is the same as
+    formatting value by value.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    n, m = block.shape
+    x = block.ravel()
+    hi_t, lo_t, q_t, templates, groups_t = _render_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-200) & (a <= 1e200)
+    a[~fast] = 1.0  # a placeholder: these slots are overwritten at the end
+    row = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    hi = hi_t[row]
+    s_hi = a * hi
+    c = a * _SPLIT
+    a1 = c - (c - a)
+    a2 = a - a1
+    c = hi * _SPLIT
+    h1 = c - (c - hi)
+    h2 = hi - h1
+    s_lo = ((((a1 * h1 - s_hi) + a1 * h2) + a2 * h1) + a2 * h2) + a * lo_t[row]
+    floor_lo = np.floor(s_lo)
+    frac = s_lo - floor_lo
+    up = frac > 0.5
+    digits = s_hi.astype(np.int64) + floor_lo.astype(np.int64)
+    fast &= (digits >= 10**16) & (digits + up < 10**17) & (np.abs(frac - 0.5) > 1e-6)
+    digits += up
+
+    buf = templates.take(2 * row + np.signbit(x), axis=0)
+    # Word 0 takes the leading digit at byte 6; words 1-4 take the groups.
+    # (numpy divides a contiguous int64 array by a scalar several times faster
+    # than a strided one, or than np.divmod does.)
+    groups = np.empty((len(x), 4), np.int64)
+    lead = digits
+    for j in range(3, -1, -1):
+        quotient = lead // 10**4
+        groups[:, j] = lead - quotient * 10**4
+        lead = quotient
+    words = buf.view(_LE64)
+    words[:, 0] |= (lead + 48).astype(_LE64) << np.uint64(48)
+    words[:, 1:5] |= groups_t.take(groups)
+    # Blank the zeros past both the last nonzero digit and the digit before
+    # the point, and the point of a whole number; only digits ending in 0 have any.
+    ends_in_zero = np.flatnonzero(buf[:, 38] == ord("0"))
+    if ends_in_zero.size:
+        shown = buf[ends_in_zero, 6:40:2]
+        last = 16 - np.argmax(shown[:, ::-1] != ord("0"), axis=1)
+        q = q_t[row[ends_in_zero]]
+        shown[np.arange(17) > np.maximum(last, q)[:, None]] = 0
+        buf[ends_in_zero, 6:40:2] = shown
+        whole = last <= q
+        buf[ends_in_zero[whole], 7 + 2 * q[whole]] = 0
+    buf.reshape(n, m, _SLOT)[:, -1, 45] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join(("%.17g" % v).encode().ljust(45, b"\0") for v in x[slow].tolist())
+        buf[slow, :45] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 45)
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
     """Write a header line, then the rows of the given columns as CSV.
 
@@ -329,21 +471,19 @@ def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
     (k CSV columns); a row is the columns' rows side by side.  Every value
     is rendered as '%.17g', which is the same text as _g.  The rows go out
     _ROW_CHUNK at a time: each chunk's slices of the columns are stacked and
-    rendered through one %-format, so neither the stacked block nor the
-    text of the whole file is ever held in memory.
+    rendered by _render_rows, so neither the stacked block nor the text of
+    the whole file is ever held in memory.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
-    m = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    row = ",".join(["%.17g"] * m) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for start in range(0, n, _ROW_CHUNK):
             part = np.column_stack([c[start : start + _ROW_CHUNK] for c in columns])
-            fh.write(row * len(part) % tuple(part.ravel().tolist()))
+            fh.write(_render_rows(part))
 
 
 def write_timeseries(path: Path, traj: Trajectory) -> None:

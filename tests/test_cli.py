@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from combcool import cli, dynamics
 from combcool.cli import (
@@ -17,6 +20,7 @@ from combcool.cli import (
     EXIT_INTEGRATION,
     EXIT_OK,
     EXIT_RATES,
+    _render_rows,
     _write_rows,
     build_parser,
     config_lines,
@@ -300,6 +304,90 @@ def test_write_rows_renders_special_values(tmp_path):
     )
 
 
+# --- the vectorized '%.17g' kernel against format(x, '.17g') ---------------------
+
+
+def _assert_renders_as_format(block):
+    """_render_rows(block) equals format(x, '.17g') cell by cell, in CSV lines."""
+    lines = _render_rows(block).split("\n")
+    assert lines.pop() == ""
+    expected = [",".join(format(float(x), ".17g") for x in row) for row in block]
+    assert len(lines) == len(expected)
+    wrong = [(got, want) for got, want in zip(lines, expected) if got != want]
+    assert not wrong, f"{len(wrong)} lines differ, first: {wrong[:2]}"
+
+
+def _neighbours(x: float, steps: int) -> list[float]:
+    """x and the `steps` doubles on either side of it."""
+    out = [x]
+    below = above = x
+    for _ in range(steps):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def _edge_table() -> np.ndarray:
+    values = []
+    for k in range(-300, 301):
+        values += _neighbours(float(f"1e{k}"), steps=1)
+    # the switches between the fixed and scientific forms
+    for switch in (1e-5, 1e-4, 1e16, 1e17):
+        values += _neighbours(switch, steps=3)
+    # the guard of the vectorized range
+    for bound in (1e-200, 1e200):
+        values += _neighbours(bound, steps=3)
+    # exact 18-digit ties m/2**17 (m odd) in [1, 10), which round half to
+    # even, and the 19-digit quarter points m/2**18 beside them
+    values += [m / 2**17 for m in range(2**17 + 1, 10 * 2**17, 2 * 37)]
+    values += [m / 2**18 for m in range(2**18 + 1, 10 * 2**18, 2 * 73)]
+    values += [0.0, 5e-324, sys.float_info.min, math.inf, math.nan, 100.0, 1200.5]
+    values += [-v for v in values]
+    values += [0.0] * (-len(values) % 6)
+    return np.array(values).reshape(-1, 6)
+
+
+def test_render_rows_matches_format_on_the_edge_table():
+    _assert_renders_as_format(_edge_table())
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        # the double nearest 1e-28 lies below it, so its exponent is -29;
+        # a range check after rounding would print 1e-28
+        (1e-28, "9.9999999999999997e-29"),
+        (100.0, "100"),
+        (1200.5, "1200.5"),
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
+        (1e-5, "1.0000000000000001e-05"),
+        (0.0001, "0.0001"),
+        (-1.5e-120, "-1.5000000000000001e-120"),
+        (1 + 2**-17, "1.0000076293945312"),
+        (1 + 3 * 2**-17, "1.0000228881835938"),
+    ],
+)
+def test_render_rows_known_texts(value, text):
+    assert format(value, ".17g") == text
+    assert _render_rows(np.array([[value, value]])) == f"{text},{text}\n"
+
+
+_BLOCK_SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(arrays(np.uint64, _BLOCK_SHAPES, elements=st.integers(0, 2**64 - 1)))
+def test_render_rows_matches_format_on_bit_patterns(bits):
+    _assert_renders_as_format(bits.view(np.float64))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(arrays(np.float64, _BLOCK_SHAPES, elements=st.floats()))
+def test_render_rows_matches_format_on_floats(block):
+    _assert_renders_as_format(block)
+
+
 def test_run_files_match_per_value_writers(tmp_path, preset_runs):
     out = tmp_path / "out"
     code = run_cli(
@@ -346,7 +434,8 @@ def _odd_trajectory(n_rows: int) -> Trajectory:
     """Samples with signed zeros, subnormals, infinities and NaNs among the values."""
     rng = np.random.default_rng(n_rows)
     data = rng.normal(size=(n_rows, 9)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 9))
-    data.reshape(-1)[::997][: 4 * len(SPECIAL_VALUES)] = SPECIAL_VALUES * 4
+    step = min(997, data.size // (4 * len(SPECIAL_VALUES)))
+    data.reshape(-1)[::step][: 4 * len(SPECIAL_VALUES)] = SPECIAL_VALUES * 4
     times = 5e-324 + 0.37 * np.arange(n_rows)
     return Trajectory(times=times, data=data, pulse_end_indices=[n_rows - 1])
 
@@ -800,3 +889,20 @@ def test_importing_the_cli_leaves_out_the_worker_pool(subprocess_pythonpath):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_rendering_tables_are_built_without_fractions_or_decimal(subprocess_pythonpath):
+    """The kernel's power-of-ten table is built on first use, from Python ints."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, combcool.cli as cli; "
+            "built_at_import = cli._render_tables.cache_info().currsize; "
+            "cli._render_rows(cli.np.eye(2)); "
+            "print(built_at_import, sorted(m for m in ('fractions', 'decimal') if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
