@@ -896,9 +896,9 @@ def test_rendering_tables_are_built_without_fractions_or_decimal(subprocess_pyth
     proc = subprocess.run(
         [
             sys.executable, "-c",
-            "import sys, combcool.cli as cli; "
+            "import sys, numpy as np, combcool.cli as cli; "
             "built_at_import = cli._render_tables.cache_info().currsize; "
-            "cli._render_rows(cli.np.eye(2)); "
+            "cli._render_rows(np.eye(2)); "
             "print(built_at_import, sorted(m for m in ('fractions', 'decimal') if m in sys.modules))",
         ],
         capture_output=True,
