@@ -311,43 +311,98 @@ def _free_factors(dt: float, rates: DecoherenceRates):
     return E2, r21, r23, f12, f13, f23
 
 
+#: Rows of [v * scale, lost] gathered into the gap map's terms.  With phases:
+#: left addends (rows 0 and 2, then x of each coherence pair), right addends
+#: (lost twice, then y), minuends (x) and subtrahends (y).  Without: rows 0
+#: and 2, then lost twice.
+_TURN_ROWS = np.array([0, 2, 3, 5, 7, 9, 9, 4, 6, 8, 3, 5, 7, 4, 6, 8])
+_DECAY_ROWS = np.array([0, 2, 9, 9])
+
+#: One-slot memo of gap-map factors: (dt, rates, phases, factors).
+_free_memo: tuple = (None, None, None, None)
+
+
+def _gap_factors(dt: float, rates: DecoherenceRates, phases) -> tuple:
+    """(1 - E2, gathered rows, addend count, scale, coef) of one gap map.
+
+    scale multiplies the nine rows; coef multiplies the gathered rows into
+    the terms: 1 for rows 0 and 2, r21 and r23 for lost, and sin, cos, cos,
+    sin of each angle for the pair terms s x, c y, c x and s y.
+    """
+    E2, r21, r23, f12, f13, f23 = _free_factors(dt, rates)
+    scale = np.array([1.0, E2, 1.0, f12, f12, f13, f13, f23, f23])
+    if phases is None:
+        return 1.0 - E2, _DECAY_ROWS, 2, scale, np.array([1.0, 1.0, r21, r23])
+    cos = [math.cos(a) for a in phases]
+    sin = [math.sin(a) for a in phases]
+    coef = np.array([1.0, 1.0, *sin, r21, r23, *cos, *cos, *sin])
+    return 1.0 - E2, _TURN_ROWS, 5, scale, coef
+
+
 def _apply_free(
     v: np.ndarray,
     dt: float,
     rates: DecoherenceRates,
     phases: tuple[float, float, float] | None = None,
 ) -> np.ndarray:
-    """Gap map applied to a (9,) state vector or to each column of a (9, m) stack."""
-    E2, r21, r23, f12, f13, f23 = _free_factors(dt, rates)
-    out = v.copy()
-    lost = v[1] * (1.0 - E2)
-    out[0] = v[0] + r21 * lost
-    out[1] = v[1] * E2
-    out[2] = v[2] + r23 * lost
-    out[3] *= f12
-    out[4] *= f12
-    out[5] *= f13
-    out[6] *= f13
-    out[7] *= f23
-    out[8] *= f23
+    """Gap map applied to a (9,) state vector or to each column of a (9, m) stack.
+
+    Returns a new C-ordered array and leaves v as it is.  Every element is
+    what the per-row map gives, by the same IEEE operations in the same
+    order: out = v * E2 for row 1 and v * f for the coherence rows (f12,
+    f13, f23), then with lost = v[1] * (1 - E2), out[0] = v[0] + r21 * lost
+    and out[2] = v[2] + r23 * lost, and each pair (x, y) of scaled
+    coherences turns to (c x - s y, s x + c y) with c and s the math.cos and
+    math.sin of its angle, both from the old pair.  (Which NaN a sum of two
+    NaNs returns is left open by IEEE 754, and numpy's loops differ there;
+    the per-row map itself does between a (9,) state and a stack.)
+
+    All nine rows are scaled in one product into a buffer whose tenth row
+    is lost.  One gather and one product then form every term (rows 0 and 2
+    enter as v * 1.0 * 1.0, which is v), and one sum and one difference
+    write rows 0, 2, 4, 6, 8 and 3, 5, 7 from terms formed before either
+    write.
+
+    The factors are computed once per distinct (dt, rates, phases) and kept
+    in a one-slot memo compared by object identity: equal values can differ
+    in bits (0.0 == -0.0, and sin(-0.0) is -0.0), the same object cannot.
+    propagate passes the same objects for every gap, so it computes them
+    once.  The memo holds its key objects, so their ids stay taken; the
+    arguments are read as immutable.
+    """
+    global _free_memo
+    memo = _free_memo
+    if not (memo[0] is dt and memo[1] is rates and memo[2] is phases):
+        memo = _free_memo = (dt, rates, phases, _gap_factors(dt, rates, phases))
+    loss, rows, n_add, scale, coef = memo[3]
+    if v.ndim == 2:
+        scale, coef = scale[:, None], coef[:, None]
+    buf = np.empty((10,) + v.shape[1:])
+    out = buf[:9]
+    np.multiply(v, scale, out)
+    buf[9] = v[1] * loss
+    terms = coef * buf[rows]
+    np.add(terms[:n_add], terms[n_add:2 * n_add], buf[0:2 * n_add:2])
     if phases is not None:
-        for i0, a in zip((3, 5, 7), phases):
-            c, s = math.cos(a), math.sin(a)
-            x, y = out[i0], out[i0 + 1]
-            out[i0], out[i0 + 1] = c * x - s * y, s * x + c * y
+        np.subtract(terms[10:13], terms[13:], buf[3:9:2])
     return out
 
 
 def _map_powers(period_map: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Rows period_map**k @ v for k = 0..n-1, by repeated doubling.
 
-    Each round appends P**m applied to the m rows so far and squares P**m,
-    so n rows cost about log2(n) matrix products instead of n steps.
+    Each round writes P**m applied to the m rows so far into the next m rows
+    of one buffer of 2**ceil(log2 n) rows, then squares P**m if another
+    round follows, so n rows cost about 2 log2(n) matrix products.
     """
-    rows, power = v[None, :], period_map
-    while len(rows) < n:
-        rows = np.concatenate((rows, rows @ power.T))
-        power = power @ power
+    rows = np.empty((1 << (n - 1).bit_length(), 9))
+    rows[0] = v
+    power, m = period_map, 1
+    while m < n:
+        np.matmul(rows[:m], power.T, out=rows[m:2 * m])
+        m *= 2
+        if m < n:
+            power = power @ power
     return rows[:n]
 
 

@@ -684,6 +684,11 @@ CALIBRATION_TAU_GRID = (0.14, 0.21, 0.35, 0.70)
 CALIBRATION_PERIOD_BASE = 14000.0
 #: Pulses of every calibration staircase.
 CALIBRATION_PROBE_PULSES = 260
+#: Start vector of every staircase (all population in level 1), read-only.
+_STAIRCASE_START = DensityMatrix.pure(1).to_vector()
+_STAIRCASE_START.flags.writeable = False
+#: Rates of every staircase's period map.
+_NO_RATES = DecoherenceRates.none()
 
 
 @dataclass(frozen=True)
@@ -731,17 +736,17 @@ def _staircase_stats(
 ) -> tuple[float, int, int]:
     """(peak yield, pulse count at the first yield peak, transfer pulse).
 
-    Forms the one-period map P = R(period) @ pulse_map once (the inter-pulse
-    rotation R applied to the columns of the pulse map), takes the powers
-    P**k of the pure initial state by repeated doubling, and reads the
-    target population at each pulse end as row 2 of pulse_map against them.
-    Bookkeeping stops at the first peak: the last running maximum before the
-    yield falls by more than 0.05 below it.
+    Forms the one-period map P = R(period) @ pulse_map once, as one gap map
+    of zero length (the inter-pulse rotation R applied to the columns of the
+    pulse map), takes the powers P**k of the pure initial state by repeated
+    doubling into one buffer, and reads the target population at each pulse
+    end as row 2 of pulse_map against them.  The start vector and the zero
+    rates are module constants shared by every candidate.  Bookkeeping stops
+    at the first peak: the last running maximum before the yield falls by
+    more than 0.05 below it.
     """
-    period_map = _apply_free(
-        pulse_map, 0.0, DecoherenceRates.none(), _interpulse_angles(period, sys)
-    )
-    rows = _map_powers(period_map, DensityMatrix.pure(1).to_vector(), n_max)
+    period_map = _apply_free(pulse_map, 0.0, _NO_RATES, _interpulse_angles(period, sys))
+    rows = _map_powers(period_map, _STAIRCASE_START, n_max)
     p33 = rows @ pulse_map[2]
     run_max = np.maximum.accumulate(p33)
     falls = np.nonzero(run_max - p33 > 0.05)[0]

@@ -28,7 +28,7 @@ from combcool import spectrum as sp
 from combcool.dynamics import (
     NegativePopulation,
     TraceDrift,
-    _apply_free,
+    _free_factors,
     _generator_matrices,
     _integrate_window,
     _interpulse_angles,
@@ -141,6 +141,46 @@ def quiet_propagate(rho0, cfg, sys_, rates, icfg):
 
 # --- reference implementations ---------------------------------------------
 
+def apply_free_reference(v, dt, rates, phases=None):
+    """Per-row oracle for dynamics._apply_free, bitwise.
+
+    Copies v, then writes the gap map one row at a time: rows 0-2 from the
+    decayed excited population, each coherence row scaled by its decay
+    factor, and each coherence pair turned by its angle.
+    """
+    E2, r21, r23, f12, f13, f23 = _free_factors(dt, rates)
+    out = v.copy()
+    lost = v[1] * (1.0 - E2)
+    out[0] = v[0] + r21 * lost
+    out[1] = v[1] * E2
+    out[2] = v[2] + r23 * lost
+    out[3] *= f12
+    out[4] *= f12
+    out[5] *= f13
+    out[6] *= f13
+    out[7] *= f23
+    out[8] *= f23
+    if phases is not None:
+        for i0, a in zip((3, 5, 7), phases):
+            c, s = math.cos(a), math.sin(a)
+            x, y = out[i0], out[i0 + 1]
+            out[i0], out[i0 + 1] = c * x - s * y, s * x + c * y
+    return out
+
+
+def map_powers_reference(period_map, v, n):
+    """Concatenating oracle for dynamics._map_powers, bitwise.
+
+    Each round appends period_map**m applied to the m rows so far and
+    squares the power.
+    """
+    rows, power = v[None, :], period_map
+    while len(rows) < n:
+        rows = np.concatenate((rows, rows @ power.T))
+        power = power @ power
+    return rows[:n]
+
+
 def staircase_stats_loop(pulse_map, period, sys_, n_max):
     """Per-pulse oracle for scenarios._staircase_stats.
 
@@ -154,7 +194,7 @@ def staircase_stats_loop(pulse_map, period, sys_, n_max):
     for k in range(n_max):
         v = pulse_map @ v
         p33[k] = v[2]
-        v = _apply_free(v, 0.0, rates, angles)
+        v = apply_free_reference(v, 0.0, rates, angles)
     run_max = np.maximum.accumulate(p33)
     falls = np.nonzero(run_max - p33 > 0.05)[0]
     upto = int(falls[0]) if falls.size else n_max
@@ -227,7 +267,8 @@ def propagate_direct_reference(rho0, cfg, sys_, rates, icfg):
 
     Integrates every pulse on the state vector itself with
     integrate_window_reference, with no window map, and crosses each gap
-    with _apply_free.  Returns the state at the end of the last pulse.
+    with apply_free_reference.  Returns the state at the end of the last
+    pulse.
     """
     step = resolve_step(icfg, cfg, sys_)
     w = icfg.window_sigmas * cfg.tau
@@ -239,7 +280,7 @@ def propagate_direct_reference(rho0, cfg, sys_, rates, icfg):
         span = (-w, w) if k == 0 else (max(-w, w - T), w)
         v = integrate_window_reference(*span, step, cfg, sys_, rates, v)[1][-1]
         if k < N - 1 and (gap > 0.0 or angles is not None):
-            v = _apply_free(v, gap, rates, angles)
+            v = apply_free_reference(v, gap, rates, angles)
     return v
 
 
@@ -297,8 +338,8 @@ def propagate_reference(rho0, cfg, sys_, rates, icfg):
                     dt = j * gap / (icfg.gap_samples + 1)
                     part = None if angles is None else tuple(a * dt / gap for a in angles)
                     times.append(np.array([k * T + w + dt]))
-                    data.append(_apply_free(v, dt, rates, part)[None])
+                    data.append(apply_free_reference(v, dt, rates, part)[None])
                     n_recorded += 1
             if gap > 0.0 or angles is not None:
-                v = _apply_free(v, gap, rates, angles)
+                v = apply_free_reference(v, gap, rates, angles)
     return np.concatenate(times), np.concatenate(data), np.asarray(ends), k + 1, stopped

@@ -817,6 +817,29 @@ def test_calibrate_quick_verb(tmp_path, capsys):
     assert values["period"] in [c[1] for c in cells]
 
 
+def test_calibrate_quick_text_is_pinned(tmp_path, capsys):
+    """The quick scan's printout and calibration.csv, byte for byte.
+
+    The other calibration tests hold within tolerances, so a last-bit change
+    in a staircase or in the final propagation would pass them.  Recorded
+    with numpy 2.4 and OpenBLAS 0.3 on x86-64; another BLAS build may round
+    the final propagation differently.
+    """
+    assert run_cli("calibrate-fig4", "--quick", "--out", str(tmp_path)) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "tau = 0.19800000000000001\n"
+        "period = 14005.2539\n"
+        "n_pulses = 118\n"
+        "final_yield = 0.97349130292458363\n"
+        "transfer_pulse = 109\n"
+        "max_rho22 = 0.1212099068378298\n"
+    )
+    assert (tmp_path / "calibration.csv").read_bytes() == (
+        b"tau,period,peak_yield,peak_pulse,transfer_pulse\n"
+        b"0.19800000000000001,14005.2539,0.97349130292458053,118,109\n"
+    )
+
+
 # --- README examples ---------------------------------------------------------------
 
 

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combcool import (
     DecoherenceRates,
@@ -42,8 +44,10 @@ from combcool.scenarios import get_preset
 from helpers import (
     DESK_OMEGA_L,
     DESK_OMEGA_MOD,
+    apply_free_reference,
     desk_train,
     integrate_window_reference,
+    map_powers_reference,
     propagate_direct_reference,
     propagate_reference,
     quiet_propagate,
@@ -131,9 +135,91 @@ def test_gap_map_on_a_stack_matches_column_by_column(phases):
     stack = np.random.default_rng(11).normal(size=(9, 6))
     out = _apply_free(stack, 2.5, rates, phases)
     for j in range(stack.shape[1]):
-        np.testing.assert_allclose(
-            out[:, j], _apply_free(stack[:, j], 2.5, rates, phases), atol=1e-15, rtol=0.0
-        )
+        assert out[:, j].tobytes() == _apply_free(stack[:, j], 2.5, rates, phases).tobytes()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """Bit patterns of a, with every NaN as the one NaN np.nan.
+
+    IEEE 754 leaves open which NaN an operation on two NaNs returns, and
+    numpy's loops choose differently: the per-row map itself gives
+    0x7ff8... for a (9,) state and 0xfff8... for the same state as a column
+    of a stack when s x and c y are both NaN.  Every other bit is compared.
+    """
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+_GAP_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.1e-308, -2.2e-309]),
+    st.floats(width=64),
+)
+_GAP_PHASES = st.one_of(
+    st.none(),
+    st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3) for _ in range(3)]),
+)
+_GAP_RATES = st.sampled_from(
+    [
+        DecoherenceRates.none(),
+        DecoherenceRates(gamma21=0.03, gamma23=0.01, Gamma21=0.02, Gamma31=0.005, Gamma23=0.025),
+        DecoherenceRates(gamma21=0.0, gamma23=-0.0, Gamma21=0.02, Gamma31=-0.0, Gamma23=0.02),
+    ]
+)
+
+
+@st.composite
+def _gap_states(draw):
+    """A (9,) state, a C- or F-ordered (9, m) stack, or a (9, 9) map."""
+    kind = draw(st.sampled_from(["vector", "stack", "ends.T", "map"]))
+    m = draw(st.integers(0, 5))
+    shape = {"vector": (9,), "stack": (9, m), "ends.T": (m, 9), "map": (9, 9)}[kind]
+    values = draw(st.lists(_GAP_ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape)))
+    v = np.array(values, dtype=float).reshape(shape)
+    return v.T if kind == "ends.T" else v
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    v=_gap_states(),
+    dt=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 50.0),
+    rates=_GAP_RATES,
+    phases=_GAP_PHASES,
+)
+def test_gap_map_is_bitwise_the_per_row_map(v, dt, rates, phases):
+    before = v.copy()
+    with np.errstate(all="ignore"):
+        expected = _bits(apply_free_reference(v, dt, rates, phases))
+        out = _apply_free(v, dt, rates, phases)
+        assert out.shape == v.shape
+        assert np.array_equal(_bits(out), expected)
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert not np.shares_memory(out, v)
+        assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
+        # the second call takes its factors from the memo; the first output,
+        # written over, must not leak into it
+        out[...] = 7.0
+        again = _apply_free(v, dt, rates, phases)
+        assert not np.shares_memory(again, out)
+        assert np.array_equal(_bits(again), expected)
+
+
+def test_gap_map_factors_follow_the_bits_of_their_key():
+    """Equal keys with other bits get their own factors: sin(-0.0) is -0.0.
+
+    With -0.0 coherences, phases (0, 0, 0) turn each pair to (+0.0, -0.0)
+    and phases (-0, -0, -0) to (-0.0, +0.0); a cache keyed on equality would
+    hand the second call the first call's factors.
+    """
+    v = np.full(9, -0.0)
+    v[:3] = (1.0, 0.0, 0.0)
+    rates = DecoherenceRates.none()
+    for signs in ((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)):
+        phases = tuple(math.copysign(0.0, s) for s in signs)
+        for dt in (0.0, -0.0):
+            expected = apply_free_reference(v, dt, rates, phases).view(np.uint64)
+            assert np.array_equal(_apply_free(v, dt, rates, phases).view(np.uint64), expected)
+            stack = np.tile(v[:, None], 3)
+            expected = apply_free_reference(stack, dt, rates, phases).view(np.uint64)
+            assert np.array_equal(_apply_free(stack, dt, rates, phases).view(np.uint64), expected)
 
 
 # --- one-period map powers ------------------------------------------------------
@@ -148,6 +234,20 @@ def _unitary_map(rng: np.random.Generator) -> np.ndarray:
             for e in np.eye(9)
         ]
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 255, 256, 257, 260])
+def test_map_powers_are_bitwise_the_concatenating_doubling(n):
+    rng = np.random.default_rng(7)
+    rates = DecoherenceRates(gamma21=0.002, gamma23=0.001, Gamma21=0.001, Gamma31=0.0005, Gamma23=0.0015)
+    period_map = _apply_free(_unitary_map(rng), 3.0, rates, (0.4, -2.2, 1.1))
+    v = random_density_matrix(rng).to_vector()
+    rows = _map_powers(period_map, v, n)
+    expected = map_powers_reference(period_map, v, n)
+    assert rows.shape == (n, 9)
+    assert rows.tobytes() == expected.tobytes()
+    assert rows.flags.writeable
+    assert not np.shares_memory(rows, _map_powers(period_map, v, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 260])
