@@ -318,8 +318,13 @@ def _free_factors(dt: float, rates: DecoherenceRates):
 _TURN_ROWS = np.array([0, 2, 3, 5, 7, 9, 9, 4, 6, 8, 3, 5, 7, 4, 6, 8])
 _DECAY_ROWS = np.array([0, 2, 9, 9])
 
-#: One-slot memo of gap-map factors: (dt, rates, phases, factors).
-_free_memo: tuple = (None, None, None, None)
+#: Memo of gap-map factors: {(id(dt), id(rates), id(phases)): (dt, rates,
+#: phases, factors)}.  Each entry holds its key objects, so their ids stay
+#: taken while it lives.
+_free_memo: dict[tuple[int, int, int], tuple] = {}
+
+#: Entries the memo holds before it starts over; propagate needs 1 + gap_samples.
+_FREE_MEMO_SLOTS = 16
 
 
 def _gap_factors(dt: float, rates: DecoherenceRates, phases) -> tuple:
@@ -364,17 +369,21 @@ def _apply_free(
     write.
 
     The factors are computed once per distinct (dt, rates, phases) and kept
-    in a one-slot memo compared by object identity: equal values can differ
-    in bits (0.0 == -0.0, and sin(-0.0) is -0.0), the same object cannot.
-    propagate passes the same objects for every gap, so it computes them
-    once.  The memo holds its key objects, so their ids stay taken; the
-    arguments are read as immutable.
+    in a memo keyed by object identity: equal values can differ in bits (0.0
+    == -0.0, and sin(-0.0) is -0.0), the same object cannot.  The memo holds
+    up to _FREE_MEMO_SLOTS entries and is emptied when a new one would not
+    fit.  propagate empties it on entry and passes the same objects for the
+    carried gap and for each sample offset, so it computes 1 + gap_samples
+    factor sets.  Entries hold their key objects, so their ids stay taken;
+    the arguments are read as immutable.
     """
-    global _free_memo
-    memo = _free_memo
-    if not (memo[0] is dt and memo[1] is rates and memo[2] is phases):
-        memo = _free_memo = (dt, rates, phases, _gap_factors(dt, rates, phases))
-    loss, rows, n_add, scale, coef = memo[3]
+    key = (id(dt), id(rates), id(phases))
+    entry = _free_memo.get(key)
+    if entry is None:
+        if len(_free_memo) >= _FREE_MEMO_SLOTS:
+            _free_memo.clear()
+        entry = _free_memo[key] = (dt, rates, phases, _gap_factors(dt, rates, phases))
+    loss, rows, n_add, scale, coef = entry[3]
     if v.ndim == 2:
         scale, coef = scale[:, None], coef[:, None]
     buf = np.empty((10,) + v.shape[1:])
@@ -565,18 +574,34 @@ def propagate(
     or N, reuses its read-only map instead of integrating again.
 
     The first pulse runs alone; later pulses run in blocks whose fine states
-    fit _BLOCK_BYTES (72 bytes per fine step and pulse).  Pulse-start states
-    are carried along the block with the pulse-end map and the gap map, and
-    the early-stop rule reads the carried pulse ends.  One matrix product
-    with the population rows of the window map then gives the populations of
-    every fine state of the block, and one with the recorded rows gives the
-    full recorded samples; each pulse's last row is its carried end, the
-    state the next gap map acts on.  Each in-gap sample offset is one gap
-    map applied to the block's stacked pulse ends.
+    fit _BLOCK_BYTES (72 bytes per fine step and pulse).  The run makes two
+    passes over the same blocks:
+
+    - The carry.  Pulse-start and pulse-end states are carried along each
+      block with the pulse-end map and the gap map, and kept per block.  The
+      early-stop rule reads the block's carried ends, so the carry ends with
+      the block of the stopping pulse and keeps only the pulses that run.
+    - The fill.  times, data and pulse_end_indices are allocated once, at
+      their exact size.  Per block, one matrix product with the population
+      rows of the window map gives the populations of every fine state, and
+      one with the recorded rows gives the full recorded samples; each
+      pulse's last row is its carried end, the state the next gap map acts
+      on.  Each in-gap sample offset is one gap map applied to the block's
+      stacked pulse ends.  All of it is written straight into slices of the
+      output arrays.
+
+    Pulse 0 is carried and filled on the first window before the interior
+    map is fetched, so overlapping windows (2w > T), whose spans differ,
+    build each map once.  Beside the returned arrays a call holds the window
+    map, the carried states (144 bytes per pulse) and one block's
+    temporaries, about _BLOCK_BYTES.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
     error names the first failing pulse; the trace is never renormalized.
+    The scan reads the carried states, so a run that fails a guard has
+    carried to its end or early stop before it raises: about 20 ms more for
+    fig5 failing at the 66th pulse of 3200.
 
     Unless allow_unconstrained_rates is set, the rates must satisfy the
     additive dephasing relation (validate_rates in ENFORCE mode).
@@ -601,87 +626,128 @@ def propagate(
     gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
     gap_parts = [None if angles is None else tuple(a * dt / gap for a in angles) for dt in gap_dts]
     tols = (icfg.trace_tol, icfg.pop_tol)
-    v = rho0.to_vector()
-    times_chunks: list[np.ndarray] = []
-    data_chunks: list[np.ndarray] = []
-    end_chunks: list[np.ndarray] = []
-    n_recorded = 0
-    max_drift = 0.0
-    min_pop = float(v[:3].min())
-    max_rho22 = float(v[1])
-    prev_pops: np.ndarray | None = None
-    stable_run = 0
-    stopped_early = False
-    k = 0
+    _free_memo.clear()
 
-    while k < N and not stopped_early:
-        if k < 2:
-            # pulse 0 runs alone on the first window: its window and its
-            # recorded rows may differ from those of every later pulse
-            span = (-w, w) if k == 0 else interior_span
-            s_grid, m_fine = _window_map(span, step, cfg, sys, rates)
-            pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
-            sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)
-            if k > 0 and gap == 0.0:
-                # a later window with no gap starts exactly where the previous one ended
-                sel = sel[1:]
-            sel_rows = m_fine[sel].reshape(-1, 9)
-        block = 1 if k == 0 else min(N - k, max(1, _BLOCK_BYTES // (72 * s_grid.size)))
-        starts, ends = np.empty((2, block, 9))
+    def recorded(maps, skip_first: bool):
+        """(s_grid, population rows, recorded indices, recorded rows) of a window map."""
+        s_grid, m_fine = maps
+        pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
+        sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)
+        if skip_first:
+            # a later window with no gap starts exactly where the previous one ended
+            sel = sel[1:]
+        return s_grid, pop_rows, sel, m_fine[sel].reshape(-1, 9)
+
+    def carry(v, m_end, k, block):
+        """(starts, ends) of pulses k .. k + block - 1 as one array, and the next start."""
+        starts, ends = pair = np.empty((2, block, 9))
         for b in range(block):
             starts[b] = v
-            v = ends[b] = m_fine[-1] @ v
-            if icfg.early_stop_pulses:
-                moved = np.inf if prev_pops is None else np.abs(v[:3] - prev_pops).max()
-                stable_run = stable_run + 1 if moved < icfg.early_stop_tol else 0
-                prev_pops = v[:3]
-                if stable_run >= icfg.early_stop_pulses:
-                    stopped_early = True
-                    break
+            v = ends[b] = m_end @ v
             if k + b < N - 1 and (gap > 0.0 or angles is not None):
                 v = _apply_free(v, gap, rates, angles)
-        n_block = b + 1
-        starts, ends = starts[:n_block], ends[:n_block]
+        return pair, v
+
+    def fill(k, window, starts, ends, gapped: bool, times_out, data_out):
+        """Scan the carried pulses from k on and write their rows; returns the guard extremes.
+
+        A gapped block records gap samples after each pulse; otherwise its
+        last pulse, the last of the train or the one that stopped it, has none.
+        """
+        s_grid, pop_rows, sel, sel_rows = window
+        n_block = len(starts)
         pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
         # the recorded pulse end is exactly the state the next gap map acts on
         pops[:, -1] = ends[:, :3]
         starts_t = (k + np.arange(n_block))[:, None] * T
         abs_times = starts_t + s_grid
         try:
-            drift, pmin, p2max = _scan_states(pops.reshape(-1, 3), abs_times.ravel(), *tols)
+            extremes = _scan_states(pops.reshape(-1, 3), abs_times.ravel(), *tols)
         except IntegrationError:
             # name the first failing pulse, as a pulse-by-pulse scan would
             for pulse_pops, pulse_times in zip(pops, abs_times):
                 _scan_states(pulse_pops, pulse_times, *tols)
             raise
-        max_drift = max(max_drift, drift)
-        min_pop = min(min_pop, pmin)
-        max_rho22 = max(max_rho22, p2max)
-
         rows = (starts @ sel_rows.T).reshape(n_block, sel.size, 9)
         rows[:, -1] = ends
-        # the last pulse of the train, or the one that stopped it, has no gap
-        n_gapped = n_block if k + n_block < N and not stopped_early else n_block - 1
-        gap_states = np.empty((n_block, n_gap_samples, 9))
+        n_gapped = n_block if gapped else n_block - 1
+        row_len = sel.size + n_gap_samples
+        n_split = n_gapped * row_len
+        pulse_times = times_out[:n_split].reshape(n_gapped, row_len)
+        pulse_rows = data_out[:n_split].reshape(n_gapped, row_len, 9)
+        pulse_times[:, :sel.size] = abs_times[:n_gapped, sel]
+        pulse_times[:, sel.size:] = starts_t[:n_gapped] + w + gap_dts
+        pulse_rows[:, :sel.size] = rows[:n_gapped]
         for j, (dt, part) in enumerate(zip(gap_dts, gap_parts)):
-            gap_states[:n_gapped, j] = _apply_free(ends[:n_gapped].T, dt, rates, part).T
-        rows = np.concatenate((rows, gap_states), axis=1)
-        row_times = np.concatenate((abs_times[:, sel], starts_t + w + gap_dts), axis=1)
-        n_rows = n_block * rows.shape[1] - (n_block - n_gapped) * n_gap_samples
-        data_chunks.append(rows.reshape(-1, 9)[:n_rows])
-        times_chunks.append(row_times.ravel()[:n_rows])
-        end_chunks.append(n_recorded + sel.size - 1 + rows.shape[1] * np.arange(n_block))
-        n_recorded += n_rows
-        k += n_block
+            pulse_rows[:, sel.size + j] = _apply_free(ends[:n_gapped].T, dt, rates, part).T
+        times_out[n_split:] = abs_times[n_gapped:, sel].ravel()
+        data_out[n_split:] = rows[n_gapped:].reshape(-1, 9)
+        return extremes
 
-    times = np.concatenate(times_chunks)
-    data = np.concatenate(data_chunks)
+    v = rho0.to_vector()
+    extremes = [(0.0, float(v[:3].min()), float(v[1]))]
+    # pulse 0 runs alone on the first window: its window and its recorded rows
+    # may differ from those of every later pulse
+    first = _window_map((-w, w), step, cfg, sys, rates)
+    (starts, ends), v = carry(v, first[1][-1], 0, 1)
+    head = recorded(first, False)
+    n_head = head[2].size + (n_gap_samples if N > 1 else 0)
+    head_times, head_data = np.empty(n_head), np.empty((n_head, 9))
+    extremes.append(fill(0, head, starts, ends, N > 1, head_times, head_data))
+    head_end = head[2].size - 1
+    # with overlapping windows the memo drops the first map for the interior one
+    del first, head
+
+    # pass 1: carry the later pulses to the end of the train or the early stop
+    blocks: list[np.ndarray] = []
+    stopped_early = False
+    k = 1
+    if N > 1:
+        interior = _window_map(interior_span, step, cfg, sys, rates)
+        block = max(1, _BLOCK_BYTES // (72 * interior[0].size))
+        last_pops, stable_run = ends[0, :3], 0
+        while k < N and not stopped_early:
+            pair, v = carry(v, interior[1][-1], k, min(N - k, block))
+            if icfg.early_stop_pulses:
+                # how far each pulse end's populations moved from the end before it
+                moved = np.abs(np.diff(pair[1, :, :3], axis=0, prepend=last_pops[None])).max(axis=1)
+                for b, moved_b in enumerate(moved.tolist()):
+                    stable_run = stable_run + 1 if moved_b < icfg.early_stop_tol else 0
+                    if stable_run >= icfg.early_stop_pulses:
+                        pair, stopped_early = pair[:, :b + 1], True
+                        break
+                last_pops = pair[1, -1, :3]
+            blocks.append(pair)
+            k += pair.shape[1]
+
+    # pass 2: fill arrays of the exact size, block by block
+    n_rows = n_head
+    if blocks:
+        body = recorded(interior, gap == 0.0)
+        row_len = body[2].size + n_gap_samples
+        n_rows += (k - 1) * row_len - n_gap_samples
+    times, data = np.empty(n_rows), np.empty((n_rows, 9))
+    pulse_end_indices = np.empty(k, dtype=int)
+    times[:n_head] = head_times
+    data[:n_head] = head_data
+    pulse_end_indices[0] = head_end
+    row, pulse = n_head, 1
+    for i, (starts, ends) in enumerate(blocks):
+        n_block = len(starts)
+        gapped = i + 1 < len(blocks)
+        n = n_block * row_len - (0 if gapped else n_gap_samples)
+        extremes.append(fill(pulse, body, starts, ends, gapped, times[row:row + n], data[row:row + n]))
+        pulse_end_indices[pulse:pulse + n_block] = row + body[2].size - 1 + row_len * np.arange(n_block)
+        row += n
+        pulse += n_block
+
+    drifts, pmins, p2maxes = zip(*extremes)
     metadata = config_tree(sys, cfg, rates, icfg, rho0)
     metadata["resolved_step"] = step
     metadata["diagnostics"] = {
-        "trace_max_drift": max_drift,
-        "min_population": min_pop,
-        "max_rho22": max_rho22,
+        "trace_max_drift": max(drifts),
+        "min_population": min(pmins),
+        "max_rho22": max(p2maxes),
         "pulses_run": k,
         "early_stopped": stopped_early,
         "t_begin": float(times[0]),
@@ -690,7 +756,7 @@ def propagate(
     return Trajectory(
         times=times,
         data=data,
-        pulse_end_indices=np.concatenate(end_chunks),
+        pulse_end_indices=pulse_end_indices,
         metadata=metadata,
     )
 

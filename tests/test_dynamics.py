@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -39,7 +40,7 @@ from combcool.dynamics import (
     omega_max,
     resolve_step,
 )
-from combcool.scenarios import get_preset
+from combcool.scenarios import get_preset, run_preset
 
 from helpers import (
     DESK_OMEGA_L,
@@ -644,6 +645,79 @@ def test_guard_names_the_first_failing_pulse_of_a_block(monkeypatch):
     assert f"t = {6 * cfg.T + icfg.window_sigmas * cfg.tau:g};" in str(raised.value)
 
 
+@pytest.mark.parametrize("pulses", [1, 2, 3, 5, 8])
+def test_early_stop_carries_the_stable_run_across_blocks(monkeypatch, pulses):
+    # with blocks shorter than the five stable pulses the run crosses a block edge
+    sys_ = LevelSystem.from_transitions(3.0, 4.0)
+    cfg = PulseTrainConfig(rabi_peak=0.0, omega_L=4.0, tau=0.3, T=20.0, N=60)
+    rates = DecoherenceRates(gamma21=0.5, gamma23=0.5, Gamma21=0.5, Gamma31=0.5, Gamma23=1.0)
+    icfg = IntegratorConfig(early_stop_pulses=5, early_stop_tol=1e-9)
+    _set_block_pulses(monkeypatch, cfg, sys_, icfg, pulses)
+    traj = _assert_matches_pulse_loop(DensityMatrix.pure(2), cfg, sys_, rates, icfg)
+    assert traj.metadata["diagnostics"]["early_stopped"]
+
+
+def test_fig5sp_stops_at_pulse_703(preset_runs):
+    diag = preset_runs("fig5sp").metadata["diagnostics"]
+    assert (diag["pulses_run"], diag["early_stopped"]) == (703, True)
+
+
+def test_guard_failure_after_the_full_carry_warns_nothing():
+    # fig5 fails at its 66th pulse of 3200; the carry runs to the last pulse before the scan
+    preset = get_preset("fig5")
+    icfg = replace(preset.icfg, trace_tol=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceDrift, match=r"at t = 1\.6315e\+06;"):
+            propagate(preset.rho0, preset.cfg, preset.sys, preset.rates, icfg)
+
+
+def test_propagate_holds_one_copy_of_its_trajectory():
+    """A second fig3 run, its window map built, peaks at its arrays plus three blocks."""
+    preset = get_preset("fig3")
+    run_preset(preset)
+    tracemalloc.start()
+    try:
+        traj = run_preset(preset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = traj.times.nbytes + traj.data.nbytes + traj.pulse_end_indices.nbytes
+    assert peak <= arrays + 3 * dynamics._BLOCK_BYTES
+
+
+class _NoMemo(dict):
+    """A gap-factor memo that keeps nothing, so every gap map computes its factors."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize(
+    "period, phases, factor_sets",
+    [(25.0, False, 4), (25.0, True, 4), (3.3, False, 0), (3.3, True, 1)],
+)
+def test_gap_factors_are_computed_once_per_distinct_gap_of_a_call(
+    monkeypatch, period, phases, factor_sets
+):
+    # 4 = the carried gap and three sample offsets; with 3.3 the windows leave no gap
+    run = _desk_run(15, period, gap_samples=3, interpulse_phases=phases)
+    _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)
+    calls = []
+    factors = dynamics._gap_factors
+    monkeypatch.setattr(dynamics, "_gap_factors", lambda *args: calls.append(args) or factors(*args))
+    dynamics._free_memo.clear()
+    for j in range(dynamics._FREE_MEMO_SLOTS - 1):  # a memo left nearly full by other callers
+        _apply_free(np.zeros(9), 1.0 + j, run[3], None)
+    calls.clear()
+    memoized = _trajectory_bytes(quiet_propagate(*run))
+    assert len(calls) == factor_sets <= 1 + run[4].gap_samples
+    monkeypatch.setattr(dynamics, "_free_memo", _NoMemo())
+    assert _trajectory_bytes(quiet_propagate(*run)) == memoized
+    # without the memo each of the 14 carried gaps computes its factors again
+    assert factor_sets == 0 or len(calls) >= factor_sets + 14
+
+
 # --- window-map memo -----------------------------------------------------------------
 
 
@@ -662,6 +736,17 @@ def test_memo_hit_gives_the_bytes_of_a_fresh_build(period):
     dynamics._window_memo.clear()
     rebuilt = _trajectory_bytes(quiet_propagate(*run))
     assert again == fresh and rebuilt == fresh
+
+
+# with overlapping windows the first pulse is filled before the interior map
+# takes the first one's slot
+@pytest.mark.parametrize("period, builds", [(25.0, 1), (3.3, 2)])
+def test_each_window_map_is_built_once_per_call(monkeypatch, period, builds):
+    spans = []
+    build = dynamics._integrate_window
+    monkeypatch.setattr(dynamics, "_integrate_window", lambda *args: spans.append(args[:2]) or build(*args))
+    quiet_propagate(*_desk_run(15, period))
+    assert len(spans) == len(set(spans)) == builds
 
 
 def _memo_run(section=None, **fields):
