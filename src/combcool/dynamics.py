@@ -80,9 +80,7 @@ STEP_SAFETY = 0.02
 #: Hard upper bound: at least 20 steps per fastest oscillation period.
 STEP_CAP_FRACTION = 1.0 / 20.0
 
-_RK4_CHUNK = 2048
-
-#: RK4 step maps formed per batched product; bounds the 9x9 stacks in memory.
+#: RK4 steps per slice of a window build; bounds every 9x9 stack in memory.
 _STEP_MAP_CHUNK = 256
 
 #: Byte budget of the fine states formed per block of pulses.
@@ -400,18 +398,22 @@ def _apply_free(
 def _map_powers(period_map: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Rows period_map**k @ v for k = 0..n-1, by repeated doubling.
 
-    Each round writes P**m applied to the m rows so far into the next m rows
-    of one buffer of 2**ceil(log2 n) rows, then squares P**m if another
-    round follows, so n rows cost about 2 log2(n) matrix products.
+    Each round writes P**m applied to the first rows into the rows after the
+    m so far, then squares P**m if another round follows, so n rows cost
+    about 2 log2(n) matrix products.  The last round maps only the n - m
+    rows that are read, but at least two once m >= 2: a single row goes
+    through a matrix-vector product, which rounds differently from the
+    matrix products of the earlier rounds.  So the buffer holds n + 1 rows.
     """
-    rows = np.empty((1 << (n - 1).bit_length(), 9))
+    rows = np.empty((n + 1, 9))
     rows[0] = v
     power, m = period_map, 1
     while m < n:
-        np.matmul(rows[:m], power.T, out=rows[m:2 * m])
-        m *= 2
+        new = min(m, max(n - m, 2))
+        np.dot(rows[:new], power.T, out=rows[m:m + new])
+        m += new
         if m < n:
-            power = power @ power
+            power = np.dot(power, power)
     return rows[:n]
 
 
@@ -456,8 +458,12 @@ def _integrate_window(
     Returns (s_grid, x_fine) with x_fine[i] the solution at s_grid[i].  The
     integrator is classic fixed-step RK4 as step maps S_i = I + h/6 (K1 +
     2 K2 + 2 K3 + K4), with K1 = L(s_i), K2 = L_mid (I + h/2 K1), K3 = L_mid
-    (I + h/2 K2) and K4 = L(s_i+1) (I + h K3), formed as stacked 9x9 products
-    _STEP_MAP_CHUNK steps at a time and applied in order, x_i+1 = S_i x_i.
+    (I + h/2 K2) and K4 = L(s_i+1) (I + h K3).  The steps run in slices of
+    _STEP_MAP_CHUNK: each slice forms the generators at its own grid nodes
+    (both ends, so adjacent slices share one node) and midpoints, forms its
+    step maps as stacked 9x9 products and applies them in order, x_i+1 =
+    S_i x_i.  Every stack is thus bounded by the slice, whatever the window
+    length, and each node is the same expression s_lo + h * i as in s_grid.
     """
     length = s_hi - s_lo
     if not length > 0.0:
@@ -469,20 +475,18 @@ def _integrate_window(
     x_fine = np.empty((n + 1,) + x0.shape)
     x_fine[0] = x0
     eye = np.eye(9)
-    for start in range(0, n, _RK4_CHUNK):
-        stop = min(start + _RK4_CHUNK, n)
-        L_grid = _generator_matrices(s_lo + h * np.arange(start, stop + 1), cfg, sys, rates)
-        L_mid = _generator_matrices(s_lo + h * (np.arange(start, stop) + 0.5), cfg, sys, rates)
-        for lo in range(0, stop - start, _STEP_MAP_CHUNK):
-            hi = min(lo + _STEP_MAP_CHUNK, stop - start)
-            k1 = L_grid[lo:hi]
-            k2 = L_mid[lo:hi] @ (eye + (0.5 * h) * k1)
-            k3 = L_mid[lo:hi] @ (eye + (0.5 * h) * k2)
-            k4 = L_grid[lo + 1:hi + 1] @ (eye + h * k3)
-            step_maps = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            done = x_fine[start + lo:start + hi + 1]
-            for s_map, x, x_next in zip(step_maps, done, done[1:]):
-                np.matmul(s_map, x, out=x_next)
+    for lo in range(0, n, _STEP_MAP_CHUNK):
+        hi = min(lo + _STEP_MAP_CHUNK, n)
+        L_grid = _generator_matrices(s_lo + h * np.arange(lo, hi + 1), cfg, sys, rates)
+        L_mid = _generator_matrices(s_lo + h * (np.arange(lo, hi) + 0.5), cfg, sys, rates)
+        k1 = L_grid[:-1]
+        k2 = L_mid @ (eye + (0.5 * h) * k1)
+        k3 = L_mid @ (eye + (0.5 * h) * k2)
+        k4 = L_grid[1:] @ (eye + h * k3)
+        step_maps = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        done = x_fine[lo:hi + 1]
+        for s_map, x, x_next in zip(step_maps, done, done[1:]):
+            np.dot(s_map, x, out=x_next)
     return s_grid, x_fine
 
 
@@ -581,27 +585,28 @@ def propagate(
       block with the pulse-end map and the gap map, and kept per block.  The
       early-stop rule reads the block's carried ends, so the carry ends with
       the block of the stopping pulse and keeps only the pulses that run.
+      Each kept block is then scanned once: one matrix product with the
+      population rows of the window map gives the populations of every
+      fine state, each pulse's last one taken from its carried end.
     - The fill.  times, data and pulse_end_indices are allocated once, at
-      their exact size.  Per block, one matrix product with the population
-      rows of the window map gives the populations of every fine state, and
-      one with the recorded rows gives the full recorded samples; each
-      pulse's last row is its carried end, the state the next gap map acts
-      on.  Each in-gap sample offset is one gap map applied to the block's
-      stacked pulse ends.  All of it is written straight into slices of the
-      output arrays.
+      their exact size.  Per block, one matrix product with the recorded
+      rows of the window map gives the full recorded samples; each pulse's
+      last row is its carried end, the state the next gap map acts on.
+      Each in-gap sample offset is one gap map applied to the block's
+      stacked pulse ends.  The fill only writes, straight into slices of
+      the output arrays.
 
-    Pulse 0 is carried and filled on the first window before the interior
-    map is fetched, so overlapping windows (2w > T), whose spans differ,
-    build each map once.  Beside the returned arrays a call holds the window
-    map, the carried states (144 bytes per pulse) and one block's
-    temporaries, about _BLOCK_BYTES.
+    Pulse 0 is carried, scanned and filled on the first window before the
+    interior map is fetched, so overlapping windows (2w > T), whose spans
+    differ, build each map once.  Beside the returned arrays a call holds
+    the window map, the carried states (144 bytes per pulse) and one
+    block's temporaries, about _BLOCK_BYTES.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
     error names the first failing pulse; the trace is never renormalized.
-    The scan reads the carried states, so a run that fails a guard has
-    carried to its end or early stop before it raises: about 20 ms more for
-    fig5 failing at the 66th pulse of 3200.
+    The scan runs inside the carry, so a run that fails a guard stops
+    carrying at the block of its first failing pulse.
 
     Unless allow_unconstrained_rates is set, the rates must satisfy the
     additive dephasing relation (validate_rates in ENFORCE mode).
@@ -643,31 +648,37 @@ def propagate(
         starts, ends = pair = np.empty((2, block, 9))
         for b in range(block):
             starts[b] = v
-            v = ends[b] = m_end @ v
+            v = ends[b] = np.dot(m_end, v)
             if k + b < N - 1 and (gap > 0.0 or angles is not None):
                 v = _apply_free(v, gap, rates, angles)
         return pair, v
 
-    def fill(k, window, starts, ends, gapped: bool, times_out, data_out):
-        """Scan the carried pulses from k on and write their rows; returns the guard extremes.
-
-        A gapped block records gap samples after each pulse; otherwise its
-        last pulse, the last of the train or the one that stopped it, has none.
-        """
-        s_grid, pop_rows, sel, sel_rows = window
+    def scan(k, window, starts, ends):
+        """Guard extremes of the carried pulses from k on, raising at the first failing one."""
+        s_grid, pop_rows = window[:2]
         n_block = len(starts)
         pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
         # the recorded pulse end is exactly the state the next gap map acts on
         pops[:, -1] = ends[:, :3]
-        starts_t = (k + np.arange(n_block))[:, None] * T
-        abs_times = starts_t + s_grid
+        abs_times = (k + np.arange(n_block))[:, None] * T + s_grid
         try:
-            extremes = _scan_states(pops.reshape(-1, 3), abs_times.ravel(), *tols)
+            return _scan_states(pops.reshape(-1, 3), abs_times.ravel(), *tols)
         except IntegrationError:
             # name the first failing pulse, as a pulse-by-pulse scan would
             for pulse_pops, pulse_times in zip(pops, abs_times):
                 _scan_states(pulse_pops, pulse_times, *tols)
             raise
+
+    def fill(k, window, starts, ends, gapped: bool, times_out, data_out):
+        """Write the rows of the carried pulses from k on.
+
+        A gapped block records gap samples after each pulse; otherwise its
+        last pulse, the last of the train or the one that stopped it, has none.
+        """
+        s_grid, _, sel, sel_rows = window
+        n_block = len(starts)
+        starts_t = (k + np.arange(n_block))[:, None] * T
+        sel_times = starts_t + s_grid[sel]
         rows = (starts @ sel_rows.T).reshape(n_block, sel.size, 9)
         rows[:, -1] = ends
         n_gapped = n_block if gapped else n_block - 1
@@ -675,14 +686,13 @@ def propagate(
         n_split = n_gapped * row_len
         pulse_times = times_out[:n_split].reshape(n_gapped, row_len)
         pulse_rows = data_out[:n_split].reshape(n_gapped, row_len, 9)
-        pulse_times[:, :sel.size] = abs_times[:n_gapped, sel]
+        pulse_times[:, :sel.size] = sel_times[:n_gapped]
         pulse_times[:, sel.size:] = starts_t[:n_gapped] + w + gap_dts
         pulse_rows[:, :sel.size] = rows[:n_gapped]
         for j, (dt, part) in enumerate(zip(gap_dts, gap_parts)):
             pulse_rows[:, sel.size + j] = _apply_free(ends[:n_gapped].T, dt, rates, part).T
-        times_out[n_split:] = abs_times[n_gapped:, sel].ravel()
+        times_out[n_split:] = sel_times[n_gapped:].ravel()
         data_out[n_split:] = rows[n_gapped:].reshape(-1, 9)
-        return extremes
 
     v = rho0.to_vector()
     extremes = [(0.0, float(v[:3].min()), float(v[1]))]
@@ -691,19 +701,21 @@ def propagate(
     first = _window_map((-w, w), step, cfg, sys, rates)
     (starts, ends), v = carry(v, first[1][-1], 0, 1)
     head = recorded(first, False)
+    extremes.append(scan(0, head, starts, ends))
     n_head = head[2].size + (n_gap_samples if N > 1 else 0)
     head_times, head_data = np.empty(n_head), np.empty((n_head, 9))
-    extremes.append(fill(0, head, starts, ends, N > 1, head_times, head_data))
+    fill(0, head, starts, ends, N > 1, head_times, head_data)
     head_end = head[2].size - 1
     # with overlapping windows the memo drops the first map for the interior one
     del first, head
 
-    # pass 1: carry the later pulses to the end of the train or the early stop
+    # pass 1: carry and scan the later pulses to the end of the train or the early stop
     blocks: list[np.ndarray] = []
     stopped_early = False
     k = 1
     if N > 1:
         interior = _window_map(interior_span, step, cfg, sys, rates)
+        body = recorded(interior, gap == 0.0)
         block = max(1, _BLOCK_BYTES // (72 * interior[0].size))
         last_pops, stable_run = ends[0, :3], 0
         while k < N and not stopped_early:
@@ -717,13 +729,13 @@ def propagate(
                         pair, stopped_early = pair[:, :b + 1], True
                         break
                 last_pops = pair[1, -1, :3]
+            extremes.append(scan(k, body, *pair))
             blocks.append(pair)
             k += pair.shape[1]
 
     # pass 2: fill arrays of the exact size, block by block
     n_rows = n_head
     if blocks:
-        body = recorded(interior, gap == 0.0)
         row_len = body[2].size + n_gap_samples
         n_rows += (k - 1) * row_len - n_gap_samples
     times, data = np.empty(n_rows), np.empty((n_rows, 9))
@@ -736,7 +748,7 @@ def propagate(
         n_block = len(starts)
         gapped = i + 1 < len(blocks)
         n = n_block * row_len - (0 if gapped else n_gap_samples)
-        extremes.append(fill(pulse, body, starts, ends, gapped, times[row:row + n], data[row:row + n]))
+        fill(pulse, body, starts, ends, gapped, times[row:row + n], data[row:row + n])
         pulse_end_indices[pulse:pulse + n_block] = row + body[2].size - 1 + row_len * np.arange(n_block)
         row += n
         pulse += n_block

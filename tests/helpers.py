@@ -262,6 +262,36 @@ def integrate_window_reference(s_lo, s_hi, step, cfg, sys_, rates, x0):
     return s_grid, x_fine
 
 
+def integrate_window_nested_reference(s_lo, s_hi, step, cfg, sys_, rates, x0):
+    """Nested-chunk oracle for dynamics._integrate_window, bitwise.
+
+    Forms the generators 2048 steps at a time, then the RK4 step maps of
+    each 256 steps of those, and applies each step map with np.matmul.
+    """
+    length = s_hi - s_lo
+    n = max(1, int(math.ceil(length / step)))
+    h = length / n
+    s_grid = s_lo + h * np.arange(n + 1)
+    x_fine = np.empty((n + 1,) + x0.shape)
+    x_fine[0] = x0
+    eye = np.eye(9)
+    for start in range(0, n, 2048):
+        stop = min(start + 2048, n)
+        L_grid = _generator_matrices(s_lo + h * np.arange(start, stop + 1), cfg, sys_, rates)
+        L_mid = _generator_matrices(s_lo + h * (np.arange(start, stop) + 0.5), cfg, sys_, rates)
+        for lo in range(0, stop - start, 256):
+            hi = min(lo + 256, stop - start)
+            k1 = L_grid[lo:hi]
+            k2 = L_mid[lo:hi] @ (eye + (0.5 * h) * k1)
+            k3 = L_mid[lo:hi] @ (eye + (0.5 * h) * k2)
+            k4 = L_grid[lo + 1:hi + 1] @ (eye + h * k3)
+            step_maps = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            done = x_fine[start + lo:start + hi + 1]
+            for s_map, x, x_next in zip(step_maps, done, done[1:]):
+                np.matmul(s_map, x, out=x_next)
+    return s_grid, x_fine
+
+
 def propagate_direct_reference(rho0, cfg, sys_, rates, icfg):
     """Direct-integration oracle for the final state of dynamics.propagate.
 

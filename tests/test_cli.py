@@ -34,6 +34,7 @@ from combcool.cli import (
     write_timeseries,
 )
 from combcool.core import Trajectory
+from combcool.scenarios import get_preset
 
 from helpers import (
     DESK_OMEGA_L,
@@ -742,6 +743,36 @@ def test_integration_failure_exits_with_code_3(tmp_path, capsys, monkeypatch):
     assert "integration failed: |trace - 1|" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+def test_guard_failure_on_a_long_train_stops_the_carry_at_its_block(tmp_path, capsys, monkeypatch):
+    # fig3 at N = 200,000 fails its trace guard at pulse 21 (t = 21 T); the
+    # carry crosses one gap per carried pulse, so counting them bounds the carry
+    carried = []
+    apply_free = dynamics._apply_free
+
+    def counting_apply_free(v, *args):
+        if v.ndim == 1:
+            carried.append(1)
+        return apply_free(v, *args)
+
+    monkeypatch.setattr(dynamics, "_apply_free", counting_apply_free)
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--scenario", "fig3", "--set", "train.N=200000",
+        "--set", "integrator.trace_tol=1e-13", "--emit", "summary", "--out", str(out),
+    )
+    assert code == EXIT_INTEGRATION
+    assert capsys.readouterr().err == (
+        "integration failed: |trace - 1| = 1.010e-13 > 1e-13 at t = 527102; "
+        "integration step or tolerances are inadequate\n"
+    )
+    preset = get_preset("fig3")
+    w = preset.icfg.window_sigmas * preset.cfg.tau
+    steps = math.ceil(2.0 * w / dynamics.resolve_step(preset.icfg, preset.cfg, preset.sys))
+    block = dynamics._BLOCK_BYTES // (72 * (steps + 1))
+    assert len(carried) <= 21 + 1 + block
+    assert not out.exists()
 
 # --- validate-rates verb ------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from combcool import (
 )
 from combcool import dynamics
 from combcool.dynamics import (
-    _RK4_CHUNK,
     _STEP_MAP_CHUNK,
     IntegrationError,
     NegativePopulation,
@@ -40,13 +39,20 @@ from combcool.dynamics import (
     omega_max,
     resolve_step,
 )
-from combcool.scenarios import get_preset, run_preset
+from combcool.scenarios import (
+    CALIBRATION_PERIOD_BASE,
+    _strong_system,
+    _strong_train,
+    get_preset,
+    run_preset,
+)
 
 from helpers import (
     DESK_OMEGA_L,
     DESK_OMEGA_MOD,
     apply_free_reference,
     desk_train,
+    integrate_window_nested_reference,
     integrate_window_reference,
     map_powers_reference,
     propagate_direct_reference,
@@ -523,7 +529,7 @@ def test_desk_comb_window_map_matches_per_step_rk4():
     w = icfg.window_sigmas * cfg.tau
     step = resolve_step(icfg, cfg, sys_)
     n = math.ceil(2.0 * w / step)
-    assert n > 10 * _RK4_CHUNK  # many generator chunks
+    assert n > 80 * _STEP_MAP_CHUNK  # many slices
     # Both orders round once per step, so over n steps they may part by n * eps.
     _assert_window_matches_reference(
         (-w, w, step, cfg, sys_, rates), np.eye(9), atol=n * np.finfo(float).eps
@@ -533,13 +539,54 @@ def test_desk_comb_window_map_matches_per_step_rk4():
 @pytest.mark.parametrize(
     "n",
     [1, _STEP_MAP_CHUNK - 1, _STEP_MAP_CHUNK, _STEP_MAP_CHUNK + 1,
-     _RK4_CHUNK - 1, _RK4_CHUNK, _RK4_CHUNK + 1],
+     8 * _STEP_MAP_CHUNK - 1, 8 * _STEP_MAP_CHUNK, 8 * _STEP_MAP_CHUNK + 1],
 )
 def test_window_map_chunk_boundaries(n):
     s_lo, _, step, *rest = _preset_window("fig4")
     args = (s_lo, s_lo + (n - 0.5) * step, step, *rest)
     s_grid = _assert_window_matches_reference(args, np.eye(9))
     assert s_grid.size == n + 1
+
+
+def _calibration_window(tau):
+    """Leading arguments of _integrate_window for one calibration pulse map."""
+    cfg = _strong_train(CALIBRATION_PERIOD_BASE, 1, tau)
+    sys_, icfg = _strong_system(), IntegratorConfig(interpulse_phases=True)
+    w = icfg.window_sigmas * tau
+    return (-w, w, resolve_step(icfg, cfg, sys_), cfg, sys_, DecoherenceRates.none())
+
+
+def _window_with_steps(n):
+    if n == "tau070":
+        return _calibration_window(0.70)
+    s_lo, _, step, *rest = _preset_window("fig4")
+    return (s_lo, s_lo + (n - 0.5) * step, step, *rest)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2047, 2048, 2049, "tau070"])
+@pytest.mark.parametrize("x0", [np.eye(9), MIXED_RHO0.to_vector()], ids=["matrix", "vector"])
+def test_sliced_window_build_is_bitwise_the_nested_chunk_loop(n, x0):
+    args = _window_with_steps(n)
+    s_grid, x_fine = _integrate_window(*args, x0)
+    ref_grid, ref_fine = integrate_window_nested_reference(*args, x0)
+    assert s_grid.tobytes() == ref_grid.tobytes()
+    assert x_fine.shape == ref_fine.shape
+    assert x_fine.tobytes() == ref_fine.tobytes()
+    if n == "tau070":
+        assert s_grid.size - 1 > 16 * _STEP_MAP_CHUNK
+
+
+@pytest.mark.parametrize("window", ["fig4", "tau070"])
+def test_window_build_holds_under_2_mb_beyond_its_outputs(window):
+    args = _preset_window("fig4") if window == "fig4" else _calibration_window(0.70)
+    _integrate_window(*args, np.eye(9))  # first call pays for any lazy set-up
+    tracemalloc.start()
+    try:
+        s_grid, m_fine = _integrate_window(*args, np.eye(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - s_grid.nbytes - m_fine.nbytes <= 2_000_000
 
 
 # --- pulse blocks against the per-pulse map loop --------------------------------
@@ -663,7 +710,7 @@ def test_fig5sp_stops_at_pulse_703(preset_runs):
 
 
 def test_guard_failure_after_the_full_carry_warns_nothing():
-    # fig5 fails at its 66th pulse of 3200; the carry runs to the last pulse before the scan
+    # fig5 fails at its 66th pulse of 3200; the scan inside the carry raises there
     preset = get_preset("fig5")
     icfg = replace(preset.icfg, trace_tol=1e-13)
     with warnings.catch_warnings():
