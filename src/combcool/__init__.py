@@ -27,7 +27,6 @@ from .dynamics import (
     NegativePopulation,
     TraceDrift,
     free_evolution,
-    lvn_rhs,
     propagate,
     quantum_yield,
     steady_state_yield,
@@ -36,21 +35,16 @@ from .field import (
     Modulation,
     PulseTrainConfig,
     field_amplitude,
-    hamiltonian_element,
     phase_modulation,
-    rabi_envelope,
 )
 from .scenarios import (
     CalibrationPoint,
     CalibrationResult,
-    ComparisonRow,
-    ComparisonTable,
     Expectation,
     ExpectationResult,
     PRESET_NAMES,
     ScenarioPreset,
     calibrate_fig4,
-    compare_runs,
     evaluate_expectations,
     get_preset,
     run_preset,
@@ -76,8 +70,6 @@ __all__ = [
     "CalibrationPoint",
     "CalibrationResult",
     "CombStructureReport",
-    "ComparisonRow",
-    "ComparisonTable",
     "DecoherenceRates",
     "DensityMatrix",
     "Expectation",
@@ -102,21 +94,17 @@ __all__ = [
     "Trajectory",
     "__version__",
     "calibrate_fig4",
-    "compare_runs",
     "compute_spectrum",
     "evaluate_expectations",
     "extract_peaks",
     "field_amplitude",
     "free_evolution",
     "get_preset",
-    "hamiltonian_element",
     "hermitian_defect",
-    "lvn_rhs",
     "nyquist_limit",
     "phase_modulation",
     "propagate",
     "quantum_yield",
-    "rabi_envelope",
     "run_preset",
     "sample_field",
     "steady_state_yield",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -128,14 +127,6 @@ class LevelSystem:
         """Build from the two driven transitions, deriving the 1-3 splitting."""
         return cls(omega21, omega32, omega32 - omega21)
 
-    def transition_frequency(self, j: int, i: int) -> float:
-        """omega_ji for the driven pairs (2,1) and (3,2)."""
-        if (j, i) == (2, 1):
-            return self.omega21
-        if (j, i) == (3, 2):
-            return self.omega32
-        raise ValueError(f"no driven transition for index pair ({j}, {i})")
-
 
 @dataclass(frozen=True)
 class DecoherenceRates:
@@ -187,7 +178,6 @@ class RateCheckMode(enum.Enum):
     """What to do when the additive dephasing relation is violated."""
 
     ENFORCE = "enforce"
-    WARN = "warn"
     OFF = "off"
 
 
@@ -208,8 +198,7 @@ def validate_rates(
     For dephasing driven by elastic collisions that leave the 1-3 coherence
     untouched, the three collisional rates are not independent: the 2-3 rate
     must equal the sum of the other two.  ENFORCE raises
-    RateRelationViolation on violation, WARN emits a warning and returns the
-    report, OFF only records the deviation.
+    RateRelationViolation on violation; OFF only records the deviation.
     """
     mode = RateCheckMode(mode) if not isinstance(mode, RateCheckMode) else mode
     deviation = rates.relation_deviation()
@@ -225,8 +214,6 @@ def validate_rates(
         )
         if mode is RateCheckMode.ENFORCE:
             raise RateRelationViolation(message)
-        if mode is RateCheckMode.WARN:
-            warnings.warn(message, stacklevel=2)
     return RateReport(deviation=deviation, within_tolerance=ok, message=message)
 
 
@@ -437,11 +424,6 @@ class Trajectory:
 
     def state(self, index: int) -> DensityMatrix:
         return DensityMatrix.from_vector(self.data[index])
-
-    @property
-    def states(self) -> list[DensityMatrix]:
-        """All samples as DensityMatrix objects (built on demand)."""
-        return [DensityMatrix.from_vector(row) for row in self.data]
 
     @property
     def final_state(self) -> DensityMatrix:

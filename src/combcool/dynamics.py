@@ -60,7 +60,7 @@ from .core import (
     trace,
     validate_rates,
 )
-from .field import PulseTrainConfig, hamiltonian_element
+from .field import PulseTrainConfig
 
 __all__ = [
     "IntegrationError",
@@ -68,7 +68,6 @@ __all__ = [
     "NegativePopulation",
     "TraceDrift",
     "free_evolution",
-    "lvn_rhs",
     "propagate",
     "quantum_yield",
     "steady_state_yield",
@@ -177,47 +176,8 @@ def check_unit_trace(rho0: DensityMatrix) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand side
+# Generator
 # ---------------------------------------------------------------------------
-
-def lvn_rhs(
-    rho: DensityMatrix,
-    t: float,
-    k: int,
-    cfg: PulseTrainConfig,
-    sys: LevelSystem,
-    rates: DecoherenceRates,
-) -> DensityMatrix:
-    """Time derivative of rho under pulse k at absolute time t.
-
-    Reference implementation of the per-element equations in the module
-    docstring, evaluated with complex arithmetic straight from
-    hamiltonian_element.  The propagator uses an equivalent vectorized
-    generator; their agreement is pinned by tests.
-    """
-    H21 = hamiltonian_element(2, 1, t, k, cfg, sys)
-    H32 = hamiltonian_element(3, 2, t, k, cfg, sys)
-    H31 = hamiltonian_element(3, 1, t, k, cfg, sys)
-    H12, H23, H13 = H21.conjugate(), H32.conjugate(), H31.conjugate()
-
-    p1, p2, p3 = rho.populations
-    r12, r13, r23 = rho.rho12, rho.rho13, rho.rho23
-    r21, r31, r32 = r12.conjugate(), r13.conjugate(), r23.conjugate()
-
-    g21, g23 = rates.gamma21, rates.gamma23
-    gd12 = 0.5 * (g21 + g23) + rates.Gamma21
-    gd13 = rates.Gamma31
-    gd23 = 0.5 * (g21 + g23) + rates.Gamma23
-
-    d11 = 2.0 * (H12 * r21 + H13 * r31).imag + g21 * p2
-    d22 = 2.0 * (H21 * r12 + H23 * r32).imag - (g21 + g23) * p2
-    d33 = 2.0 * (H31 * r13 + H32 * r23).imag + g23 * p2
-    d12 = -1j * H12 * (p2 - p1) - 1j * H13 * r32 + 1j * H32 * r13 - gd12 * r12
-    d13 = -1j * H13 * (p3 - p1) - 1j * H12 * r23 + 1j * H23 * r12 - gd13 * r13
-    d23 = -1j * H23 * (p3 - p2) - 1j * H21 * r13 + 1j * H13 * r21 - gd23 * r23
-
-    return DensityMatrix(d11, d22, d33, d12, d13, d23)
-
 
 def _generator_matrices(
     s_values: np.ndarray,
@@ -228,8 +188,10 @@ def _generator_matrices(
     """Stack of real 9x9 generators L(s) in pulse-local time.
 
     Acting on v = [p1, p2, p3, Re12, Im12, Re13, Im13, Re23, Im23], so that
-    v' = L(s) v reproduces lvn_rhs.  The undriven 1-3 leg is hardcoded to
-    zero here; extend the x13/y13 population couplings if it is ever driven.
+    v' = L(s) v gives the per-element equations of the module docstring (the
+    tests pin it against a complex-arithmetic reference).  The undriven 1-3
+    leg is hardcoded to zero here; extend the x13/y13 population couplings
+    if it is ever driven.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     h21, h32 = field_mod._transition_drives(s_values, cfg, sys)

@@ -39,9 +39,7 @@ __all__ = [
     "Modulation",
     "PulseTrainConfig",
     "field_amplitude",
-    "hamiltonian_element",
     "phase_modulation",
-    "rabi_envelope",
 ]
 
 #: Default half-width of a pulse integration/synthesis window, in units of tau.
@@ -146,14 +144,6 @@ def phase_modulation(t_local, modulation: Modulation):
     return modulation.amplitude * np.cos(modulation.frequency * t_local)
 
 
-def rabi_envelope(t, k: int, cfg: PulseTrainConfig):
-    """Gaussian Rabi envelope of pulse k at absolute time(s) t."""
-    if not 0 <= k < cfg.N:
-        raise ValueError(f"pulse index {k} outside 0..{cfg.N - 1}")
-    s = t - k * cfg.T
-    return cfg.rabi_peak * np.exp(-(s * s) / (2.0 * cfg.tau * cfg.tau))
-
-
 def field_amplitude(t, cfg: PulseTrainConfig, window_sigmas: float = DEFAULT_WINDOW_SIGMAS):
     """Real electric field of the full train at absolute time(s) t.
 
@@ -188,8 +178,8 @@ def field_amplitude(t, cfg: PulseTrainConfig, window_sigmas: float = DEFAULT_WIN
 def _transition_drives(s, cfg: PulseTrainConfig, sys: LevelSystem):
     """Vectorized H21(s) and H32(s) in pulse-local time.
 
-    Single source of the matrix-element formula; hamiltonian_element and the
-    propagator's generator assembly both call this.
+    The only implementation of the matrix-element formula in the module
+    docstring; the propagator's generator assembly calls it.
     """
     s = np.asarray(s, dtype=float)
     env = cfg.rabi_peak * np.exp(-(s * s) / (2.0 * cfg.tau * cfg.tau))
@@ -203,24 +193,3 @@ def _transition_drives(s, cfg: PulseTrainConfig, sys: LevelSystem):
 
     return element(sys.omega21), element(sys.omega32)
 
-
-def hamiltonian_element(j: int, i: int, t: float, k: int, cfg: PulseTrainConfig, sys: LevelSystem) -> complex:
-    """Interaction-picture matrix element H_ji of pulse k at absolute time t.
-
-    Only the (2,1) and (3,2) legs are driven; their transposes follow by
-    conjugation and every other pair (including the undriven 1-3 leg and the
-    diagonal) is exactly zero.
-    """
-    if j not in (1, 2, 3) or i not in (1, 2, 3):
-        raise ValueError(f"level indices must be in 1..3, got ({j}, {i})")
-    if not 0 <= k < cfg.N:
-        raise ValueError(f"pulse index {k} outside 0..{cfg.N - 1}")
-    pair = (j, i)
-    if pair not in ((2, 1), (3, 2), (1, 2), (2, 3)):
-        return 0j
-    s = t - k * cfg.T
-    h21, h32 = _transition_drives(s, cfg, sys)
-    value = complex(h21) if pair in ((2, 1), (1, 2)) else complex(h32)
-    if pair in ((1, 2), (2, 3)):
-        value = value.conjugate()
-    return value

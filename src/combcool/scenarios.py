@@ -1,4 +1,4 @@
-"""Named experiment presets, comparison runs, and the fig4 calibration scan.
+"""Named experiment presets, expectation checks, and the fig4 calibration scan.
 
 The dephasing-rate validator (validate_rates, RateCheckMode, RateReport)
 lives in core and is re-exported here.
@@ -80,8 +80,6 @@ from .field import Modulation, PulseTrainConfig
 __all__ = [
     "CalibrationPoint",
     "CalibrationResult",
-    "ComparisonRow",
-    "ComparisonTable",
     "Expectation",
     "ExpectationResult",
     "PRESET_NAMES",
@@ -89,7 +87,6 @@ __all__ = [
     "RateReport",
     "ScenarioPreset",
     "calibrate_fig4",
-    "compare_runs",
     "evaluate_expectations",
     "get_preset",
     "run_preset",
@@ -573,7 +570,7 @@ def run_preset(preset: ScenarioPreset) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Comparison harness
+# Trajectory readouts
 # ---------------------------------------------------------------------------
 
 
@@ -592,85 +589,6 @@ def transfer_pulse(traj: Trajectory) -> int:
     if hits.size == 0:
         return int(ends.size)
     return int(hits[0]) + 1
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    final_yield: float
-    steady_yield: float
-    max_rho22: float
-    transfer_pulse: int
-    pulses_run: int
-    trace_max_drift: float
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Summary rows plus the trajectories they were measured from."""
-
-    rows: tuple[ComparisonRow, ...]
-    trajectories: dict[str, Trajectory]
-
-    def format(self) -> str:
-        header = (
-            f"{'name':<10} {'final_yield':>12} {'steady_yield':>13} "
-            f"{'max_rho22':>10} {'transfer':>9} {'pulses':>7} {'drift':>10}"
-        )
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                f"{r.name:<10} {r.final_yield:>12.6f} {r.steady_yield:>13.6f} "
-                f"{r.max_rho22:>10.6f} {r.transfer_pulse:>9d} "
-                f"{r.pulses_run:>7d} {r.trace_max_drift:>10.2e}"
-            )
-        return "\n".join(lines)
-
-
-def _summary_row(name: str, traj: Trajectory) -> ComparisonRow:
-    diag = traj.metadata["diagnostics"]
-    return ComparisonRow(
-        name=name,
-        final_yield=float(quantum_yield(traj)),
-        steady_yield=float(steady_state_yield(traj)),
-        max_rho22=float(diag["max_rho22"]),
-        transfer_pulse=transfer_pulse(traj),
-        pulses_run=int(diag["pulses_run"]),
-        trace_max_drift=float(diag["trace_max_drift"]),
-    )
-
-
-def compare_runs(
-    presets: list[ScenarioPreset] | tuple[ScenarioPreset, ...],
-) -> ComparisonTable:
-    """Run two or more presets on the same level system side by side.
-
-    Each preset runs under its own integrator setup.  Runs are sequential
-    and pure, so the table is bit-identical across repetitions.  Duplicate names are disambiguated in the trajectory
-    mapping by a numeric suffix.
-    """
-    presets = tuple(presets)
-    if len(presets) < 2:
-        raise ValueError("compare_runs needs at least two presets")
-    first = presets[0].sys
-    for p in presets[1:]:
-        if p.sys != first:
-            raise ValueError(
-                f"presets do not share a level system: {p.name!r} differs from "
-                f"{presets[0].name!r}"
-            )
-    rows = []
-    trajectories: dict[str, Trajectory] = {}
-    for p in presets:
-        traj = run_preset(p)
-        key = p.name
-        serial = 2
-        while key in trajectories:
-            key = f"{p.name}#{serial}"
-            serial += 1
-        trajectories[key] = traj
-        rows.append(_summary_row(key, traj))
-    return ComparisonTable(rows=tuple(rows), trajectories=trajectories)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from combcool.dynamics import (
     _interpulse_angles,
     resolve_step,
 )
+from combcool.field import _transition_drives
 
 # --- desk-scale comb surrogate (dimensionless units) -----------------------
 TICK = 2.0 * math.pi / 40.0          # comb tooth spacing for T = 40
@@ -140,6 +141,58 @@ def quiet_propagate(rho0, cfg, sys_, rates, icfg):
 
 
 # --- reference implementations ---------------------------------------------
+
+def hamiltonian_element(j, i, t, k, cfg, sys_):
+    """Scalar oracle for field._transition_drives: H_ji of pulse k at time t.
+
+    Only the (2,1) and (3,2) legs are driven; their transposes follow by
+    conjugation and every other pair (including the undriven 1-3 leg and the
+    diagonal) is exactly zero.
+    """
+    if j not in (1, 2, 3) or i not in (1, 2, 3):
+        raise ValueError(f"level indices must be in 1..3, got ({j}, {i})")
+    if not 0 <= k < cfg.N:
+        raise ValueError(f"pulse index {k} outside 0..{cfg.N - 1}")
+    pair = (j, i)
+    if pair not in ((2, 1), (3, 2), (1, 2), (2, 3)):
+        return 0j
+    h21, h32 = _transition_drives(t - k * cfg.T, cfg, sys_)
+    value = complex(h21) if pair in ((2, 1), (1, 2)) else complex(h32)
+    if pair in ((1, 2), (2, 3)):
+        value = value.conjugate()
+    return value
+
+
+def lvn_rhs(rho, t, k, cfg, sys_, rates):
+    """Per-element oracle for dynamics._generator_matrices: d rho / dt.
+
+    The equations of the dynamics module docstring, evaluated with complex
+    arithmetic straight from hamiltonian_element, under pulse k at absolute
+    time t.
+    """
+    H21 = hamiltonian_element(2, 1, t, k, cfg, sys_)
+    H32 = hamiltonian_element(3, 2, t, k, cfg, sys_)
+    H31 = hamiltonian_element(3, 1, t, k, cfg, sys_)
+    H12, H23, H13 = H21.conjugate(), H32.conjugate(), H31.conjugate()
+
+    p1, p2, p3 = rho.populations
+    r12, r13, r23 = rho.rho12, rho.rho13, rho.rho23
+    r21, r31, r32 = r12.conjugate(), r13.conjugate(), r23.conjugate()
+
+    g21, g23 = rates.gamma21, rates.gamma23
+    gd12 = 0.5 * (g21 + g23) + rates.Gamma21
+    gd13 = rates.Gamma31
+    gd23 = 0.5 * (g21 + g23) + rates.Gamma23
+
+    d11 = 2.0 * (H12 * r21 + H13 * r31).imag + g21 * p2
+    d22 = 2.0 * (H21 * r12 + H23 * r32).imag - (g21 + g23) * p2
+    d33 = 2.0 * (H31 * r13 + H32 * r23).imag + g23 * p2
+    d12 = -1j * H12 * (p2 - p1) - 1j * H13 * r32 + 1j * H32 * r13 - gd12 * r12
+    d13 = -1j * H13 * (p3 - p1) - 1j * H12 * r23 + 1j * H23 * r12 - gd13 * r13
+    d23 = -1j * H23 * (p3 - p2) - 1j * H21 * r13 + 1j * H13 * r21 - gd23 * r23
+
+    return DensityMatrix(d11, d22, d33, d12, d13, d23)
+
 
 def apply_free_reference(v, dt, rates, phases=None):
     """Per-row oracle for dynamics._apply_free, bitwise.

@@ -571,6 +571,34 @@ def test_sweep_orders_grid_and_reports_errors_per_row(tmp_path):
             assert cells[4] == ""
 
 
+def test_sweep_rates_mode_applies_per_point(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COMB_LAMBDA_THREADS", "1")
+    violation = "Gamma23 - (Gamma21 + Gamma31) = {}; the additive dephasing relation is violated"
+    rows, warned = {}, {}
+    for mode in ("warn", "off", "enforce"):
+        out = tmp_path / mode
+        code = run_cli(
+            "sweep", "--scenario", "fig4", "--set", "train.N=3",
+            "--axis1", "rates.Gamma23=0,0.001,0.002", "--rates-mode", mode, "--out", str(out),
+        )
+        assert code == EXIT_OK
+        rows[mode] = (out / "sweep.csv").read_bytes()
+        err = capsys.readouterr().err.splitlines()
+        warned[mode] = [line for line in err if line.startswith("warning:")]
+    # warn runs every point like off and prints one line per violating point
+    assert warned == {
+        "warn": [f"warning: {violation.format(d)}" for d in ("0.001", "0.002")],
+        "off": [],
+        "enforce": [],
+    }
+    assert rows["warn"] == rows["off"]
+    assert all(row.endswith(",") for row in rows["off"].decode().splitlines()[1:])  # all ran
+    errors = [line.split(",")[3] for line in rows["enforce"].decode().splitlines()[1:]]
+    assert errors == [""] + [
+        f"RateRelationViolation: {violation.format(d)}" for d in ("0.001", "0.002")
+    ]
+
+
 def test_sweep_records_non_finite_value_as_an_error_row(tmp_path, monkeypatch):
     monkeypatch.setenv("COMB_LAMBDA_THREADS", "1")
     # the bad value is recorded per row wherever it falls, first point included
@@ -896,6 +924,15 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_python_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 # --- module execution ------------------------------------------------------------------

@@ -71,14 +71,6 @@ def test_level_system_rejects_nonpositive_frequencies():
         LevelSystem.from_transitions(2.0, 2.0)  # omega31 would be zero
 
 
-def test_transition_frequency_driven_pairs_only():
-    sys_ = LevelSystem.from_transitions(2.0, 3.5)
-    assert sys_.transition_frequency(2, 1) == pytest.approx(2.0)
-    assert sys_.transition_frequency(3, 2) == pytest.approx(3.5)
-    with pytest.raises(ValueError):
-        sys_.transition_frequency(3, 1)
-
-
 # --- DecoherenceRates -------------------------------------------------------
 
 
@@ -178,4 +170,3 @@ def test_trajectory_states():
     state = traj.state(3)
     np.testing.assert_allclose(state.to_vector(), traj.data[3])
     np.testing.assert_allclose(traj.final_state.to_vector(), traj.data[-1])
-    assert len(traj.states) == traj.n_samples

@@ -21,7 +21,6 @@ from combcool import (
     TraceDrift,
     Trajectory,
     free_evolution,
-    lvn_rhs,
     propagate,
     quantum_yield,
     steady_state_yield,
@@ -54,6 +53,7 @@ from helpers import (
     desk_train,
     integrate_window_nested_reference,
     integrate_window_reference,
+    lvn_rhs,
     map_powers_reference,
     propagate_direct_reference,
     propagate_reference,
@@ -904,8 +904,6 @@ def test_lvn_rhs_conserves_total_population():
 def test_lvn_rhs_agrees_with_vectorized_generator():
     """The scalar reference equations and the 9x9 generator the integrator
     actually uses must produce the same derivative."""
-    from combcool.dynamics import _generator_matrices
-
     rng = np.random.default_rng(11)
     sys_ = LevelSystem.from_transitions(2.0, 3.1)
     cfg = PulseTrainConfig(
@@ -914,7 +912,7 @@ def test_lvn_rhs_agrees_with_vectorized_generator():
     rates = DecoherenceRates(gamma21=0.01, gamma23=0.02, Gamma21=0.005, Gamma31=0.0, Gamma23=0.005)
     # pulse-local time equals absolute time for pulse k = 0
     ts = rng.uniform(-1.0, 1.0, size=6)
-    gens = _generator_matrices(ts, cfg, sys_, rates)
+    gens = dynamics._generator_matrices(ts, cfg, sys_, rates)
     for t, L in zip(ts, gens):
         rho = random_density_matrix(rng)
         reference = lvn_rhs(rho, float(t), 0, cfg, sys_, rates)

@@ -1,4 +1,4 @@
-"""Unit tests for the driving field: envelopes, modulation, matrix elements."""
+"""Unit tests for the driving field: synthesis, modulation, matrix elements."""
 
 import math
 
@@ -10,11 +10,11 @@ from combcool import (
     Modulation,
     PulseTrainConfig,
     field_amplitude,
-    hamiltonian_element,
     phase_modulation,
-    rabi_envelope,
 )
 from combcool.field import DEFAULT_WINDOW_SIGMAS
+
+from helpers import hamiltonian_element
 
 
 def _cfg(**overrides):
@@ -23,20 +23,7 @@ def _cfg(**overrides):
     return PulseTrainConfig(**base)
 
 
-# --- envelope ---------------------------------------------------------------
-
-
-def test_envelope_is_gaussian_around_each_pulse_centre():
-    cfg = _cfg(rabi_peak=0.7, N=3)
-    for k in range(3):
-        centre = k * cfg.T
-        assert rabi_envelope(centre, k, cfg) == pytest.approx(0.7)
-        assert rabi_envelope(centre + cfg.tau, k, cfg) == pytest.approx(
-            0.7 * math.exp(-0.5)
-        )
-        assert rabi_envelope(centre - 2.0 * cfg.tau, k, cfg) == pytest.approx(
-            0.7 * math.exp(-2.0)
-        )
+# --- field synthesis --------------------------------------------------------
 
 
 def test_field_peak_value_and_carrier_phase():

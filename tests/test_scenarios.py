@@ -1,4 +1,4 @@
-"""Scenario tests: preset constants, expectations, comparisons, calibration."""
+"""Scenario tests: preset constants, expectations, preset runs, calibration."""
 
 import math
 import warnings
@@ -176,15 +176,11 @@ def test_validate_rates_worked_examples():
     with pytest.raises(RateRelationViolation):
         sc.validate_rates(bad, sc.RateCheckMode.ENFORCE)
 
-    with pytest.warns(UserWarning):
-        report = sc.validate_rates(bad, sc.RateCheckMode.WARN)
-    assert not report.within_tolerance
-    assert report.deviation == pytest.approx(-0.001)
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         off = sc.validate_rates(bad, sc.RateCheckMode.OFF)
     assert not off.within_tolerance
+    assert off.deviation == pytest.approx(-0.001)
     assert "violated" in off.message
 
 
@@ -213,7 +209,7 @@ def test_transfer_pulse_zero_yield_fallback():
     assert sc.transfer_pulse(traj) == 3
 
 
-# --- running and comparing -----------------------------------------------------------
+# --- preset runs ---------------------------------------------------------------------
 
 
 def test_preset_runs_are_deterministic():
@@ -257,26 +253,6 @@ def test_spontaneous_emission_adds_yield(preset_runs):
     assert y5 == pytest.approx(0.3417, abs=0.01)
     assert y5sp == pytest.approx(0.4709, abs=0.01)
     assert y5sp > y5
-
-
-def test_compare_runs_table(preset_runs):
-    table = sc.compare_runs(
-        [sc.get_preset("fig6sin"), sc.get_preset("fig6cos"), sc.get_preset("fig6std")]
-    )
-    assert [row.name for row in table.rows] == ["fig6sin", "fig6cos", "fig6std"]
-    by_name = {row.name: row for row in table.rows}
-    assert by_name["fig6sin"].final_yield > by_name["fig6cos"].final_yield
-    assert by_name["fig6sin"].final_yield > by_name["fig6std"].final_yield
-    text = table.format()
-    for name in ("fig6sin", "fig6cos", "fig6std"):
-        assert name in text
-
-
-def test_compare_runs_validates_inputs():
-    with pytest.raises(ValueError):
-        sc.compare_runs([sc.get_preset("fig6sin")])
-    with pytest.raises(ValueError):
-        sc.compare_runs([sc.get_preset("fig3"), sc.get_preset("fig4")])
 
 
 def test_cosine_chirp_produces_coherent_superposition(preset_runs):
