@@ -287,18 +287,19 @@ def resolve_scenario(
     return ResolvedRun(label=label, preset=preset, tree=tree)
 
 
-def _check_rates(report: RateReport, rates_mode: str) -> None:
+def _check_rates(report: RateReport, rates_mode: str, where: str = "") -> None:
     """Apply the chosen rate-relation policy to an OFF-mode validate_rates report.
 
     The only place that warns about the relation: enforce raises, warn
-    prints one warning line to stderr, off stays silent.
+    prints one warning line to stderr, prefixed with where (a sweep point's
+    assignments), off stays silent.
     """
     if report.within_tolerance:
         return
     if rates_mode == "enforce":
         raise RateRelationViolation(report.message)
     if rates_mode == "warn":
-        print(f"warning: {report.message}", file=sys.stderr)
+        print(f"warning: {where}{report.message}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +307,11 @@ def _check_rates(report: RateReport, rates_mode: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Rows rendered per _render_rows call in _write_rows.  The kernel holds about
-#: 0.3 kB of temporaries per value, so this bounds them and the text of one
-#: chunk; 512 rows keep weak_long_run's peak RSS within 1% of the previous
-#: per-value formatter, while larger chunks raise it.
+#: Rows rendered per kernel call in _write_rows and write_plotdata.  The
+#: kernel holds about 0.3 kB of temporaries per value, so this bounds them and
+#: the text of one chunk; 512 rows keep weak_long_run's peak RSS within 1% of
+#: the previous per-value formatter, while larger chunks raise it.
 _ROW_CHUNK = 512
-#: Lines read per chunk when the plot files are cut from timeseries.csv.  Each
-#: line splits into five str objects, so 4096 lines would hold about 4 MB of
-#: text at once, above fig5sp's peak RSS; 1024 lines fit in the memory that
-#: _write_rows has already freed.
-_READ_CHUNK = 1024
 
 TIMESERIES_HEADER = "t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace"
 _PLOT_NAMES = ("rho11", "rho22", "rho33")
@@ -393,8 +389,12 @@ def _render_tables():
     )
 
 
-def _render_rows(block: np.ndarray) -> str:
-    """The CSV lines of an (n, m) float block, every value as '%.17g'.
+def _render_slots(block: np.ndarray) -> np.ndarray:
+    """The CSV lines of an (n, m) float block as an (n, m, _SLOT) byte array.
+
+    Every value is laid out as '%.17g' in its slot, NUL-padded, with byte 45
+    its separator: a comma, or a newline in the last column.  _text squeezes
+    the NULs out.
 
     A finite x with 1e-200 <= |x| <= 1e200 takes the vectorized path:
     - e = floor(log10|x|), from which every table entry is looked up;
@@ -403,8 +403,7 @@ def _render_rows(block: np.ndarray) -> str:
     - floor(S) in int64 (S_hi >= 2**53 is an integer), rounded up if the
       fraction exceeds 1/2: the 17 significant digits;
     - the digits, as a leading digit and four 4-digit groups, are laid into
-      a copy of e's slot template, trailing fraction zeros are blanked, and
-      the NUL holes are squeezed out of the chunk with bytes.translate.
+      a copy of e's slot template, and trailing fraction zeros are blanked.
     Every other value takes '%.17g' % x: zero, non-finite, subnormal or out
     of range, a fraction within 1e-6 of 1/2 (every exact tie, which '%.17g'
     rounds half to even, lies there), floor(S) outside [1e16, 1e17) (e one
@@ -465,7 +464,17 @@ def _render_rows(block: np.ndarray) -> str:
     if slow.size:
         text = b"".join(("%.17g" % v).encode().ljust(45, b"\0") for v in x[slow].tolist())
         buf[slow, :45] = np.frombuffer(text, dtype=np.uint8).reshape(-1, 45)
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
+    return buf.reshape(n, m, _SLOT)
+
+
+def _text(slots: np.ndarray) -> str:
+    """The text of rendered slots, their NUL holes squeezed out."""
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _render_rows(block: np.ndarray) -> str:
+    """The CSV lines of an (n, m) float block, every value as '%.17g'."""
+    return _text(_render_slots(block))
 
 
 def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
@@ -567,58 +576,26 @@ plt.show()
 '''
 
 
-def write_plotdata(directory: Path, traj: Trajectory, timeseries: Path | None = None) -> None:
+def write_plotdata(directory: Path, traj: Trajectory) -> None:
     """Write t,rhoJJ for J = 1, 2, 3 to rhoJJ.csv in directory, plus plot.py.
 
-    With timeseries, the path of the timeseries.csv just written for traj,
-    the rows are cut from that file's text instead of being rendered again:
-    fields 0 and J of each line are the same '%.17g' strings that rendering
-    would produce, so the files are byte-identical either way.
+    Each _ROW_CHUNK-row chunk of (t, rho11, rho22, rho33) is rendered once;
+    rhoJJ.csv takes slot columns 0 and J of it, with byte 45 of slot J, its
+    separator, set to a newline: the text of rendering (t, rhoJJ) alone.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    if timeseries is None:
-        for column, name in enumerate(_PLOT_NAMES):
-            _write_rows(directory / f"{name}.csv", f"t,{name}", traj.times, traj.data[:, column])
-    else:
-        _project_plotdata(directory, traj, timeseries)
+    with contextlib.ExitStack() as stack:
+        outs = []
+        for name in _PLOT_NAMES:
+            outs.append(stack.enter_context(open(directory / f"{name}.csv", "w", encoding="utf-8")))
+            outs[-1].write(f"t,{name}\n")
+        for start in range(0, traj.n_samples, _ROW_CHUNK):
+            rows = slice(start, start + _ROW_CHUNK)
+            slots = _render_slots(np.column_stack((traj.times[rows], traj.data[rows, :3])))
+            slots[:, 1:, 45] = ord("\n")
+            for column, out in enumerate(outs, 1):
+                out.write(_text(slots[:, (0, column)]))
     (directory / "plot.py").write_text(_PLOT_STUB, encoding="utf-8")
-
-
-def _project_plotdata(directory: Path, traj: Trajectory, timeseries: Path) -> None:
-    """Cut the population files from timeseries.csv, _READ_CHUNK lines at a time.
-
-    Raises ValueError, and removes the partial plot files, if the file does
-    not hold traj: another header, a short line, a row count other than
-    traj.n_samples, or a first or last t other than traj's.
-    """
-    paths = [directory / f"{name}.csv" for name in _PLOT_NAMES]
-    try:
-        with contextlib.ExitStack() as stack:
-            src = stack.enter_context(open(timeseries, encoding="utf-8"))
-            if src.readline() != TIMESERIES_HEADER + "\n":
-                raise ValueError("unexpected header")
-            outs = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
-            for out, name in zip(outs, _PLOT_NAMES):
-                out.write(f"t,{name}\n")
-            n_rows, t = 0, ()
-            while lines := list(itertools.islice(src, _READ_CHUNK)):
-                fields = [line.split(",", 4) for line in lines]
-                if not lines[-1].endswith("\n") or min(map(len, fields)) < 5:
-                    raise ValueError(f"a line after row {n_rows} is cut short")
-                t, rho11, rho22, rho33, _ = zip(*fields)
-                if n_rows == 0 and t[0] != _g(traj.times[0]):
-                    raise ValueError(f"first t is {t[0]}, not {_g(traj.times[0])}")
-                for out, column in zip(outs, (rho11, rho22, rho33)):
-                    out.write("\n".join(map(",".join, zip(t, column))) + "\n")
-                n_rows += len(lines)
-        if n_rows != traj.n_samples:
-            raise ValueError(f"{n_rows} rows, not {traj.n_samples}")
-        if n_rows and t[-1] != _g(traj.times[-1]):
-            raise ValueError(f"last t is {t[-1]}, not {_g(traj.times[-1])}")
-    except ValueError as exc:
-        for path in paths:
-            path.unlink(missing_ok=True)
-        raise ValueError(f"{timeseries} does not hold the trajectory to plot: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +632,7 @@ def cmd_run(args) -> int:
     if spec is not None:
         write_spectrum_csv(out / "spectrum.csv", spec)
     if "plotdata" in emit:
-        # cut from the timeseries text when there is one, so no value is rendered twice
-        timeseries = out / "timeseries.csv" if "timeseries" in emit else None
-        write_plotdata(out / "plotdata", traj, timeseries)
+        write_plotdata(out / "plotdata", traj)
 
     diag = traj.metadata["diagnostics"]
     print(
@@ -737,7 +712,8 @@ def _sweep_point(payload) -> tuple[float, float, str]:
         for key, raw in assignments:
             set_config_key(point_tree, key, raw)
         sys_, cfg, rates, icfg, rho0 = runnable_objects(point_tree)
-        _check_rates(validate_rates(rates, RateCheckMode.OFF), rates_mode)
+        where = " ".join(map("=".join, assignments)) + ": "
+        _check_rates(validate_rates(rates, RateCheckMode.OFF), rates_mode, where)
         traj = propagate(
             rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=rates_mode != "enforce"
         )

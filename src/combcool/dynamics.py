@@ -278,15 +278,6 @@ def _free_factors(dt: float, rates: DecoherenceRates):
 _TURN_ROWS = np.array([0, 2, 3, 5, 7, 9, 9, 4, 6, 8, 3, 5, 7, 4, 6, 8])
 _DECAY_ROWS = np.array([0, 2, 9, 9])
 
-#: Memo of gap-map factors: {(id(dt), id(rates), id(phases)): (dt, rates,
-#: phases, factors)}.  Each entry holds its key objects, so their ids stay
-#: taken while it lives.
-_free_memo: dict[tuple[int, int, int], tuple] = {}
-
-#: Entries the memo holds before it starts over; propagate needs 1 + gap_samples.
-_FREE_MEMO_SLOTS = 16
-
-
 def _gap_factors(dt: float, rates: DecoherenceRates, phases) -> tuple:
     """(1 - E2, gathered rows, addend count, scale, coef) of one gap map.
 
@@ -304,13 +295,11 @@ def _gap_factors(dt: float, rates: DecoherenceRates, phases) -> tuple:
     return 1.0 - E2, _TURN_ROWS, 5, scale, coef
 
 
-def _apply_free(
-    v: np.ndarray,
-    dt: float,
-    rates: DecoherenceRates,
-    phases: tuple[float, float, float] | None = None,
-) -> np.ndarray:
+def _apply_free(v: np.ndarray, factors: tuple) -> np.ndarray:
     """Gap map applied to a (9,) state vector or to each column of a (9, m) stack.
+
+    factors is _gap_factors(dt, rates, phases) of the gap; a caller that
+    crosses the same gap many times forms it once and passes it each time.
 
     Returns a new C-ordered array and leaves v as it is.  Every element is
     what the per-row map gives, by the same IEEE operations in the same
@@ -326,24 +315,9 @@ def _apply_free(
     is lost.  One gather and one product then form every term (rows 0 and 2
     enter as v * 1.0 * 1.0, which is v), and one sum and one difference
     write rows 0, 2, 4, 6, 8 and 3, 5, 7 from terms formed before either
-    write.
-
-    The factors are computed once per distinct (dt, rates, phases) and kept
-    in a memo keyed by object identity: equal values can differ in bits (0.0
-    == -0.0, and sin(-0.0) is -0.0), the same object cannot.  The memo holds
-    up to _FREE_MEMO_SLOTS entries and is emptied when a new one would not
-    fit.  propagate empties it on entry and passes the same objects for the
-    carried gap and for each sample offset, so it computes 1 + gap_samples
-    factor sets.  Entries hold their key objects, so their ids stay taken;
-    the arguments are read as immutable.
+    write; the rotating form (five addend pairs) also writes the differences.
     """
-    key = (id(dt), id(rates), id(phases))
-    entry = _free_memo.get(key)
-    if entry is None:
-        if len(_free_memo) >= _FREE_MEMO_SLOTS:
-            _free_memo.clear()
-        entry = _free_memo[key] = (dt, rates, phases, _gap_factors(dt, rates, phases))
-    loss, rows, n_add, scale, coef = entry[3]
+    loss, rows, n_add, scale, coef = factors
     if v.ndim == 2:
         scale, coef = scale[:, None], coef[:, None]
     buf = np.empty((10,) + v.shape[1:])
@@ -352,7 +326,7 @@ def _apply_free(
     buf[9] = v[1] * loss
     terms = coef * buf[rows]
     np.add(terms[:n_add], terms[n_add:2 * n_add], buf[0:2 * n_add:2])
-    if phases is not None:
+    if n_add == 5:
         np.subtract(terms[10:13], terms[13:], buf[3:9:2])
     return out
 
@@ -399,7 +373,7 @@ def free_evolution(rho: DensityMatrix, dt: float, rates: DecoherenceRates) -> De
     """
     if dt < 0.0:
         raise ValueError(f"dt must be non-negative, got {dt!r}")
-    return DensityMatrix.from_vector(_apply_free(rho.to_vector(), dt, rates))
+    return DensityMatrix.from_vector(_apply_free(rho.to_vector(), _gap_factors(dt, rates, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +514,10 @@ def propagate(
     or N, reuses its read-only map instead of integrating again.
 
     The first pulse runs alone; later pulses run in blocks whose fine states
-    fit _BLOCK_BYTES (72 bytes per fine step and pulse).  The run makes two
-    passes over the same blocks:
+    fit _BLOCK_BYTES (72 bytes per fine step and pulse).  The gap-map
+    factors are formed once per call, before either pass: one set for the
+    carried gap (only if the train crosses a gap or rotates) and one per
+    in-gap sample offset.  The run makes two passes over the same blocks:
 
     - The carry.  Pulse-start and pulse-end states are carried along each
       block with the pulse-end map and the gap map, and kept per block.  The
@@ -591,9 +567,15 @@ def propagate(
 
     n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
     gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
-    gap_parts = [None if angles is None else tuple(a * dt / gap for a in angles) for dt in gap_dts]
+    # the factors of the carried gap, and of each in-gap sample offset
+    crossing = None
+    if N > 1 and (gap > 0.0 or angles is not None):
+        crossing = _gap_factors(gap, rates, angles)
+    offsets = [
+        _gap_factors(dt, rates, None if angles is None else tuple(a * dt / gap for a in angles))
+        for dt in gap_dts
+    ]
     tols = (icfg.trace_tol, icfg.pop_tol)
-    _free_memo.clear()
 
     def recorded(maps, skip_first: bool):
         """(s_grid, population rows, recorded indices, recorded rows) of a window map."""
@@ -611,8 +593,8 @@ def propagate(
         for b in range(block):
             starts[b] = v
             v = ends[b] = np.dot(m_end, v)
-            if k + b < N - 1 and (gap > 0.0 or angles is not None):
-                v = _apply_free(v, gap, rates, angles)
+            if k + b < N - 1 and crossing is not None:
+                v = _apply_free(v, crossing)
         return pair, v
 
     def scan(k, window, starts, ends):
@@ -651,8 +633,8 @@ def propagate(
         pulse_times[:, :sel.size] = sel_times[:n_gapped]
         pulse_times[:, sel.size:] = starts_t[:n_gapped] + w + gap_dts
         pulse_rows[:, :sel.size] = rows[:n_gapped]
-        for j, (dt, part) in enumerate(zip(gap_dts, gap_parts)):
-            pulse_rows[:, sel.size + j] = _apply_free(ends[:n_gapped].T, dt, rates, part).T
+        for j, factors in enumerate(offsets):
+            pulse_rows[:, sel.size + j] = _apply_free(ends[:n_gapped].T, factors).T
         times_out[n_split:] = sel_times[n_gapped:].ravel()
         data_out[n_split:] = rows[n_gapped:].reshape(-1, 9)
 

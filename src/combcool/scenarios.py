@@ -67,6 +67,7 @@ from .core import (
 from .dynamics import (
     IntegratorConfig,
     _apply_free,
+    _gap_factors,
     _interpulse_angles,
     _map_powers,
     _window_map,
@@ -663,7 +664,8 @@ def _staircase_stats(
     at the first peak: the last running maximum before the yield falls by
     more than 0.05 below it.
     """
-    period_map = _apply_free(pulse_map, 0.0, _NO_RATES, _interpulse_angles(period, sys))
+    rotation = _gap_factors(0.0, _NO_RATES, _interpulse_angles(period, sys))
+    period_map = _apply_free(pulse_map, rotation)
     rows = _map_powers(period_map, _STAIRCASE_START, n_max)
     p33 = rows @ pulse_map[2]
     run_max = np.maximum.accumulate(p33)

@@ -195,7 +195,7 @@ def lvn_rhs(rho, t, k, cfg, sys_, rates):
 
 
 def apply_free_reference(v, dt, rates, phases=None):
-    """Per-row oracle for dynamics._apply_free, bitwise.
+    """Per-row oracle for dynamics._apply_free(v, _gap_factors(dt, rates, phases)), bitwise.
 
     Copies v, then writes the gap map one row at a time: rows 0-2 from the
     decayed excited population, each coherence row scaled by its decay

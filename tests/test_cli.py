@@ -31,7 +31,6 @@ from combcool.cli import (
     summary_lines,
     write_plotdata,
     write_spectrum_csv,
-    write_timeseries,
 )
 from combcool.core import Trajectory
 from combcool.scenarios import get_preset
@@ -441,41 +440,14 @@ def _odd_trajectory(n_rows: int) -> Trajectory:
     return Trajectory(times=times, data=data, pulse_end_indices=[n_rows - 1])
 
 
-def test_projected_plotdata_matches_per_value_writer(tmp_path):
-    traj = _odd_trajectory(2 * _ROW_CHUNK + 17)
+@pytest.mark.parametrize("n_rows", [_ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 17])
+def test_projected_plotdata_matches_per_value_writer(tmp_path, n_rows):
+    traj = _odd_trajectory(n_rows)
     assert not np.all(np.isfinite(traj.data[:, :3]))
-    write_timeseries(tmp_path / "timeseries.csv", traj)
-    write_plotdata(tmp_path / "plotdata", traj, tmp_path / "timeseries.csv")
+    write_plotdata(tmp_path / "plotdata", traj)
     _plot_references(tmp_path / "ref", traj)
     for name in ("rho11.csv", "rho22.csv", "rho33.csv"):
         assert (tmp_path / "plotdata" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
-    rendered = tmp_path / "rendered"
-    write_plotdata(rendered, traj)
-    assert {p.name: p.read_bytes() for p in rendered.iterdir()} == {
-        p.name: p.read_bytes() for p in (tmp_path / "plotdata").iterdir()
-    }
-
-
-_DAMAGES = {
-    "last rows dropped": lambda lines: lines[:-3],
-    "middle row dropped": lambda lines: lines[:100] + lines[101:],
-    "first time changed": lambda lines: [lines[0], "1" + lines[1], *lines[2:]],
-    "last time changed": lambda lines: [*lines[:-1], "1" + lines[-1]],
-    "last line cut": lambda lines: [*lines[:-1], lines[-1][:-20]],
-    "header changed": lambda lines: ["t,rho11,rho22,rho33\n", *lines[1:]],
-}
-
-
-@pytest.mark.parametrize("damage", list(_DAMAGES))
-def test_projection_rejects_a_timeseries_that_does_not_match(tmp_path, damage):
-    traj = _odd_trajectory(_ROW_CHUNK + 5)
-    timeseries = tmp_path / "timeseries.csv"
-    write_timeseries(timeseries, traj)
-    lines = timeseries.read_text(encoding="utf-8").splitlines(keepends=True)
-    timeseries.write_text("".join(_DAMAGES[damage](lines)), encoding="utf-8")
-    with pytest.raises(ValueError, match="does not hold the trajectory"):
-        write_plotdata(tmp_path / "plotdata", traj, timeseries)
-    assert not list((tmp_path / "plotdata").glob("*.csv"))
 
 
 def test_write_rows_stacks_mixed_columns(tmp_path):
@@ -579,23 +551,29 @@ def test_sweep_rates_mode_applies_per_point(tmp_path, monkeypatch, capsys):
         out = tmp_path / mode
         code = run_cli(
             "sweep", "--scenario", "fig4", "--set", "train.N=3",
-            "--axis1", "rates.Gamma23=0,0.001,0.002", "--rates-mode", mode, "--out", str(out),
+            "--axis1", "train.modulation.amplitude=4,6",
+            "--axis2", "rates.Gamma23=0,0.001,0.002", "--rates-mode", mode, "--out", str(out),
         )
         assert code == EXIT_OK
         rows[mode] = (out / "sweep.csv").read_bytes()
         err = capsys.readouterr().err.splitlines()
         warned[mode] = [line for line in err if line.startswith("warning:")]
-    # warn runs every point like off and prints one line per violating point
+    # warn runs every point like off and prints one line per violating point,
+    # naming the point: both amplitudes repeat each deviation
     assert warned == {
-        "warn": [f"warning: {violation.format(d)}" for d in ("0.001", "0.002")],
+        "warn": [
+            f"warning: train.modulation.amplitude={a} rates.Gamma23={d}: {violation.format(d)}"
+            for a in ("4", "6")
+            for d in ("0.001", "0.002")
+        ],
         "off": [],
         "enforce": [],
     }
     assert rows["warn"] == rows["off"]
     assert all(row.endswith(",") for row in rows["off"].decode().splitlines()[1:])  # all ran
-    errors = [line.split(",")[3] for line in rows["enforce"].decode().splitlines()[1:]]
-    assert errors == [""] + [
-        f"RateRelationViolation: {violation.format(d)}" for d in ("0.001", "0.002")
+    errors = [line.split(",")[4] for line in rows["enforce"].decode().splitlines()[1:]]
+    assert errors == 2 * [
+        "", *(f"RateRelationViolation: {violation.format(d)}" for d in ("0.001", "0.002"))
     ]
 
 

@@ -31,6 +31,7 @@ from combcool.dynamics import (
     IntegrationError,
     NegativePopulation,
     _apply_free,
+    _gap_factors,
     _integrate_window,
     _interpulse_angles,
     _map_powers,
@@ -140,9 +141,10 @@ def test_free_evolution_identity_without_rates():
 def test_gap_map_on_a_stack_matches_column_by_column(phases):
     rates = DecoherenceRates(gamma21=0.03, gamma23=0.01, Gamma21=0.02, Gamma31=0.005, Gamma23=0.025)
     stack = np.random.default_rng(11).normal(size=(9, 6))
-    out = _apply_free(stack, 2.5, rates, phases)
+    factors = _gap_factors(2.5, rates, phases)
+    out = _apply_free(stack, factors)
     for j in range(stack.shape[1]):
-        assert out[:, j].tobytes() == _apply_free(stack[:, j], 2.5, rates, phases).tobytes()
+        assert out[:, j].tobytes() == _apply_free(stack[:, j], factors).tobytes()
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -195,26 +197,27 @@ def test_gap_map_is_bitwise_the_per_row_map(v, dt, rates, phases):
     before = v.copy()
     with np.errstate(all="ignore"):
         expected = _bits(apply_free_reference(v, dt, rates, phases))
-        out = _apply_free(v, dt, rates, phases)
+        factors = _gap_factors(dt, rates, phases)
+        out = _apply_free(v, factors)
         assert out.shape == v.shape
         assert np.array_equal(_bits(out), expected)
         assert out.flags.writeable and out.flags.c_contiguous
         assert not np.shares_memory(out, v)
         assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
-        # the second call takes its factors from the memo; the first output,
-        # written over, must not leak into it
+        # a second call with the same factors, as every carried pulse makes, returns
+        # a new array: the first output, written over, must not leak into it
         out[...] = 7.0
-        again = _apply_free(v, dt, rates, phases)
+        again = _apply_free(v, factors)
         assert not np.shares_memory(again, out)
         assert np.array_equal(_bits(again), expected)
 
 
 def test_gap_map_factors_follow_the_bits_of_their_key():
-    """Equal keys with other bits get their own factors: sin(-0.0) is -0.0.
+    """Equal gaps and phases with other bits get their own factors: sin(-0.0) is -0.0.
 
     With -0.0 coherences, phases (0, 0, 0) turn each pair to (+0.0, -0.0)
-    and phases (-0, -0, -0) to (-0.0, +0.0); a cache keyed on equality would
-    hand the second call the first call's factors.
+    and phases (-0, -0, -0) to (-0.0, +0.0); factors shared between equal
+    arguments would hand the second call the first call's bits.
     """
     v = np.full(9, -0.0)
     v[:3] = (1.0, 0.0, 0.0)
@@ -222,11 +225,12 @@ def test_gap_map_factors_follow_the_bits_of_their_key():
     for signs in ((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)):
         phases = tuple(math.copysign(0.0, s) for s in signs)
         for dt in (0.0, -0.0):
+            factors = _gap_factors(dt, rates, phases)
             expected = apply_free_reference(v, dt, rates, phases).view(np.uint64)
-            assert np.array_equal(_apply_free(v, dt, rates, phases).view(np.uint64), expected)
+            assert np.array_equal(_apply_free(v, factors).view(np.uint64), expected)
             stack = np.tile(v[:, None], 3)
             expected = apply_free_reference(stack, dt, rates, phases).view(np.uint64)
-            assert np.array_equal(_apply_free(stack, dt, rates, phases).view(np.uint64), expected)
+            assert np.array_equal(_apply_free(stack, factors).view(np.uint64), expected)
 
 
 # --- one-period map powers ------------------------------------------------------
@@ -247,7 +251,8 @@ def _unitary_map(rng: np.random.Generator) -> np.ndarray:
 def test_map_powers_are_bitwise_the_concatenating_doubling(n):
     rng = np.random.default_rng(7)
     rates = DecoherenceRates(gamma21=0.002, gamma23=0.001, Gamma21=0.001, Gamma31=0.0005, Gamma23=0.0015)
-    period_map = _apply_free(_unitary_map(rng), 3.0, rates, (0.4, -2.2, 1.1))
+    gap = _gap_factors(3.0, rates, (0.4, -2.2, 1.1))
+    period_map = _apply_free(_unitary_map(rng), gap)
     v = random_density_matrix(rng).to_vector()
     rows = _map_powers(period_map, v, n)
     expected = map_powers_reference(period_map, v, n)
@@ -261,7 +266,8 @@ def test_map_powers_are_bitwise_the_concatenating_doubling(n):
 def test_map_powers_match_repeated_application(n):
     rng = np.random.default_rng(5)
     rates = DecoherenceRates(gamma21=0.002, gamma23=0.001, Gamma21=0.001, Gamma31=0.0005, Gamma23=0.0015)
-    period_map = _apply_free(_unitary_map(rng), 3.0, rates, (0.4, -2.2, 1.1))
+    gap = _gap_factors(3.0, rates, (0.4, -2.2, 1.1))
+    period_map = _apply_free(_unitary_map(rng), gap)
     v = random_density_matrix(rng).to_vector()
     rows = _map_powers(period_map, v, n)
     assert rows.shape == (n, 9)
@@ -663,7 +669,7 @@ def test_pulse_end_row_is_the_state_the_gap_map_acts_on(monkeypatch, phases):
     gap = cfg.T - 2.0 * icfg.window_sigmas * cfg.tau
     angles = _interpulse_angles(cfg.T, sys_) if phases else None
     for end in traj.pulse_end_indices[:-1]:
-        carried = _apply_free(traj.data[end], gap, rates, angles)
+        carried = _apply_free(traj.data[end], _gap_factors(gap, rates, angles))
         assert carried.tobytes() == traj.data[end + icfg.gap_samples + 1].tobytes()
 
 
@@ -733,13 +739,6 @@ def test_propagate_holds_one_copy_of_its_trajectory():
     assert peak <= arrays + 3 * dynamics._BLOCK_BYTES
 
 
-class _NoMemo(dict):
-    """A gap-factor memo that keeps nothing, so every gap map computes its factors."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @pytest.mark.parametrize(
     "period, phases, factor_sets",
     [(25.0, False, 4), (25.0, True, 4), (3.3, False, 0), (3.3, True, 1)],
@@ -753,16 +752,8 @@ def test_gap_factors_are_computed_once_per_distinct_gap_of_a_call(
     calls = []
     factors = dynamics._gap_factors
     monkeypatch.setattr(dynamics, "_gap_factors", lambda *args: calls.append(args) or factors(*args))
-    dynamics._free_memo.clear()
-    for j in range(dynamics._FREE_MEMO_SLOTS - 1):  # a memo left nearly full by other callers
-        _apply_free(np.zeros(9), 1.0 + j, run[3], None)
-    calls.clear()
-    memoized = _trajectory_bytes(quiet_propagate(*run))
+    quiet_propagate(*run)
     assert len(calls) == factor_sets <= 1 + run[4].gap_samples
-    monkeypatch.setattr(dynamics, "_free_memo", _NoMemo())
-    assert _trajectory_bytes(quiet_propagate(*run)) == memoized
-    # without the memo each of the 14 carried gaps computes its factors again
-    assert factor_sets == 0 or len(calls) >= factor_sets + 14
 
 
 # --- window-map memo -----------------------------------------------------------------
