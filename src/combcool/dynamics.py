@@ -29,9 +29,12 @@ superoperator in pulse-local time.  The propagator therefore integrates the
 9x9 real generator once per distinct window shape (the first window, and
 the interior window when there is more than one pulse) and applies the
 resulting linear maps to every pulse, in blocks of pulses within a fixed
-byte budget of fine states.  The equations are linear in rho, so this is
-algebraically identical to integrating each pulse separately; the tests
-pin it against that per-pulse integration.
+byte budget of fine states.  Pulse 0, on the first window, is the first
+block of one block list; every block is filled in whole pulses, and
+one cut at the row count drops the gap samples after the train's last
+pulse.  The equations are linear in rho, so this is algebraically
+identical to integrating each pulse separately; the tests pin it against
+that per-pulse integration.
 
 The window map does not depend on the pulse count, and depends on the
 period only through the clipped window span, so the last map built stays in
@@ -513,8 +516,9 @@ def propagate(
     repeats the previous call's map inputs, for example one with another T
     or N, reuses its read-only map instead of integrating again.
 
-    The first pulse runs alone; later pulses run in blocks whose fine states
-    fit _BLOCK_BYTES (72 bytes per fine step and pulse).  The gap-map
+    Pulse 0 is the first block, alone on the first window; later pulses
+    run in blocks whose fine states fit _BLOCK_BYTES (72 bytes per fine
+    step and pulse).  The gap-map
     factors are formed once per call, before either pass: one set for the
     carried gap (only if the train crosses a gap or rotates) and one per
     in-gap sample offset.  The run makes two passes over the same blocks:
@@ -527,18 +531,24 @@ def propagate(
       population rows of the window map gives the populations of every
       fine state, each pulse's last one taken from its carried end.
     - The fill.  times, data and pulse_end_indices are allocated once, at
-      their exact size.  Per block, one matrix product with the recorded
-      rows of the window map gives the full recorded samples; each pulse's
-      last row is its carried end, the state the next gap map acts on.
-      Each in-gap sample offset is one gap map applied to the block's
-      stacked pulse ends.  The fill only writes, straight into slices of
-      the output arrays.
+      their exact size.  One loop forms every pulse of every block in
+      full: one matrix product with the recorded rows of the block's
+      window map gives the recorded samples, each pulse's last row is its
+      carried end (the state the next gap map acts on), and each in-gap
+      sample offset is one gap map applied to the block's stacked pulse
+      ends.  Each block writes as many rows as its slice of the output
+      arrays holds, so the one cut at the row count drops the gap samples
+      of the train's last pulse, the last of the train or the one that
+      stopped it.
 
-    Pulse 0 is carried, scanned and filled on the first window before the
-    interior map is fetched, so overlapping windows (2w > T), whose spans
-    differ, build each map once.  Beside the returned arrays a call holds
-    the window map, the carried states (144 bytes per pulse) and one
-    block's temporaries, about _BLOCK_BYTES.
+    Pulse 0 is carried and scanned on the first window, and its recorded
+    rows are taken, before any interior map is fetched.  With a gap every
+    pulse shares the first window and its recorded rows; without one, later
+    windows start where the one before ended, and overlapping windows
+    (2w > T), whose spans differ, build each map once.  Beside the returned
+    arrays a call holds the window map, the carried states (144 bytes per
+    pulse), the recorded rows of each window and one block's temporaries,
+    about _BLOCK_BYTES.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
@@ -578,14 +588,14 @@ def propagate(
     tols = (icfg.trace_tol, icfg.pop_tol)
 
     def recorded(maps, skip_first: bool):
-        """(s_grid, population rows, recorded indices, recorded rows) of a window map."""
+        """(population rows, (s_grid, recorded indices, recorded rows)) of a window map."""
         s_grid, m_fine = maps
         pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
         sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)
         if skip_first:
             # a later window with no gap starts exactly where the previous one ended
             sel = sel[1:]
-        return s_grid, pop_rows, sel, m_fine[sel].reshape(-1, 9)
+        return pop_rows, (s_grid, sel, m_fine[sel].reshape(-1, 9))
 
     def carry(v, m_end, k, block):
         """(starts, ends) of pulses k .. k + block - 1 as one array, and the next start."""
@@ -597,9 +607,8 @@ def propagate(
                 v = _apply_free(v, crossing)
         return pair, v
 
-    def scan(k, window, starts, ends):
+    def scan(k, s_grid, pop_rows, starts, ends):
         """Guard extremes of the carried pulses from k on, raising at the first failing one."""
-        s_grid, pop_rows = window[:2]
         n_block = len(starts)
         pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
         # the recorded pulse end is exactly the state the next gap map acts on
@@ -613,57 +622,51 @@ def propagate(
                 _scan_states(pulse_pops, pulse_times, *tols)
             raise
 
-    def fill(k, window, starts, ends, gapped: bool, times_out, data_out):
-        """Write the rows of the carried pulses from k on.
+    def fill(k, window, starts, ends, times_out, data_out):
+        """Write the rows of the carried pulses from k on, as many as the output slices hold.
 
-        A gapped block records gap samples after each pulse; otherwise its
-        last pulse, the last of the train or the one that stopped it, has none.
+        Each pulse forms its recorded rows, the last of them its carried end,
+        then its gap samples; the cut at the end of the slices drops the gap
+        samples of the train's last pulse.
         """
-        s_grid, _, sel, sel_rows = window
+        s_grid, sel, sel_rows = window
         n_block = len(starts)
         starts_t = (k + np.arange(n_block))[:, None] * T
-        sel_times = starts_t + s_grid[sel]
-        rows = (starts @ sel_rows.T).reshape(n_block, sel.size, 9)
-        rows[:, -1] = ends
-        n_gapped = n_block if gapped else n_block - 1
-        row_len = sel.size + n_gap_samples
-        n_split = n_gapped * row_len
-        pulse_times = times_out[:n_split].reshape(n_gapped, row_len)
-        pulse_rows = data_out[:n_split].reshape(n_gapped, row_len, 9)
-        pulse_times[:, :sel.size] = sel_times[:n_gapped]
-        pulse_times[:, sel.size:] = starts_t[:n_gapped] + w + gap_dts
-        pulse_rows[:, :sel.size] = rows[:n_gapped]
-        for j, factors in enumerate(offsets):
-            pulse_rows[:, sel.size + j] = _apply_free(ends[:n_gapped].T, factors).T
-        times_out[n_split:] = sel_times[n_gapped:].ravel()
-        data_out[n_split:] = rows[n_gapped:].reshape(-1, 9)
+        pulse_times = np.empty((n_block, sel.size + n_gap_samples))
+        pulse_rows = np.empty(pulse_times.shape + (9,))
+        pulse_times[:, :sel.size] = starts_t + s_grid[sel]
+        pulse_times[:, sel.size:] = starts_t + w + gap_dts
+        np.matmul(starts, sel_rows.T, out=pulse_rows.reshape(n_block, -1)[:, :9 * sel.size])
+        pulse_rows[:, sel.size - 1] = ends
+        for j, factors in enumerate(offsets, sel.size):
+            pulse_rows[:, j] = _apply_free(ends.T, factors).T
+        times_out[:] = pulse_times.ravel()[:times_out.size]
+        data_out[:] = pulse_rows.reshape(-1, 9)[:len(data_out)]
 
+    # pass 1: carry and scan the pulses to the end of the train or the early stop
     v = rho0.to_vector()
     extremes = [(0.0, float(v[:3].min()), float(v[1]))]
-    # pulse 0 runs alone on the first window: its window and its recorded rows
-    # may differ from those of every later pulse
-    first = _window_map((-w, w), step, cfg, sys, rates)
-    (starts, ends), v = carry(v, first[1][-1], 0, 1)
-    head = recorded(first, False)
-    extremes.append(scan(0, head, starts, ends))
-    n_head = head[2].size + (n_gap_samples if N > 1 else 0)
-    head_times, head_data = np.empty(n_head), np.empty((n_head, 9))
-    fill(0, head, starts, ends, N > 1, head_times, head_data)
-    head_end = head[2].size - 1
-    # with overlapping windows the memo drops the first map for the interior one
-    del first, head
-
-    # pass 1: carry and scan the later pulses to the end of the train or the early stop
-    blocks: list[np.ndarray] = []
+    # pulse 0 is the first block, on the first window; with a gap every later
+    # pulse shares its window and recorded rows
+    maps = _window_map((-w, w), step, cfg, sys, rates)
+    pop_rows, window = recorded(maps, False)
+    pair, v = carry(v, maps[1][-1], 0, 1)
+    extremes.append(scan(0, window[0], pop_rows, *pair))
+    blocks = [(window, pair)]
     stopped_early = False
     k = 1
     if N > 1:
-        interior = _window_map(interior_span, step, cfg, sys, rates)
-        body = recorded(interior, gap == 0.0)
-        block = max(1, _BLOCK_BYTES // (72 * interior[0].size))
-        last_pops, stable_run = ends[0, :3], 0
+        if gap == 0.0:
+            # later windows start where the one before ended; pulse 0's rows are
+            # taken, so with overlapping windows the memo drops the first map
+            # for the interior one and each map is built once
+            del maps, pop_rows
+            maps = _window_map(interior_span, step, cfg, sys, rates)
+            pop_rows, window = recorded(maps, True)
+        block = max(1, _BLOCK_BYTES // (72 * maps[0].size))
+        last_pops, stable_run = pair[1, 0, :3], 0
         while k < N and not stopped_early:
-            pair, v = carry(v, interior[1][-1], k, min(N - k, block))
+            pair, v = carry(v, maps[1][-1], k, min(N - k, block))
             if icfg.early_stop_pulses:
                 # how far each pulse end's populations moved from the end before it
                 moved = np.abs(np.diff(pair[1, :, :3], axis=0, prepend=last_pops[None])).max(axis=1)
@@ -673,27 +676,22 @@ def propagate(
                         pair, stopped_early = pair[:, :b + 1], True
                         break
                 last_pops = pair[1, -1, :3]
-            extremes.append(scan(k, body, *pair))
-            blocks.append(pair)
+            extremes.append(scan(k, window[0], pop_rows, *pair))
+            blocks.append((window, pair))
             k += pair.shape[1]
 
-    # pass 2: fill arrays of the exact size, block by block
-    n_rows = n_head
-    if blocks:
-        row_len = body[2].size + n_gap_samples
-        n_rows += (k - 1) * row_len - n_gap_samples
+    # pass 2: fill arrays of the exact size, block by block; the train's last
+    # pulse records no gap samples
+    n_rows = sum((window[1].size + n_gap_samples) * pair.shape[1] for window, pair in blocks)
+    n_rows -= n_gap_samples
     times, data = np.empty(n_rows), np.empty((n_rows, 9))
     pulse_end_indices = np.empty(k, dtype=int)
-    times[:n_head] = head_times
-    data[:n_head] = head_data
-    pulse_end_indices[0] = head_end
-    row, pulse = n_head, 1
-    for i, (starts, ends) in enumerate(blocks):
-        n_block = len(starts)
-        gapped = i + 1 < len(blocks)
-        n = n_block * row_len - (0 if gapped else n_gap_samples)
-        fill(pulse, body, starts, ends, gapped, times[row:row + n], data[row:row + n])
-        pulse_end_indices[pulse:pulse + n_block] = row + body[2].size - 1 + row_len * np.arange(n_block)
+    row = pulse = 0
+    for window, (starts, ends) in blocks:
+        n_block, row_len = len(starts), window[1].size + n_gap_samples
+        n = n_block * row_len
+        fill(pulse, window, starts, ends, times[row:row + n], data[row:row + n])
+        pulse_end_indices[pulse:pulse + n_block] = row + window[1].size - 1 + row_len * np.arange(n_block)
         row += n
         pulse += n_block
 

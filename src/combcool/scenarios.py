@@ -640,8 +640,10 @@ def _single_pulse_map(
     """Coherent superoperator of one isolated chirped pulse (9x9, rates off).
 
     The map comes through propagate's window memo (dynamics._window_map), so
-    it is read-only, and a later propagate with the same pulse, rates and
-    step reuses it instead of integrating the window again.
+    it is read-only.  The memo holds one map, so a later propagate with the
+    same pulse, rates and step reuses it only if no other map was built in
+    between: calibrate_fig4(quick=True) reuses it, while the full scan,
+    whose chosen duration is not the last one scanned, builds it again.
     """
     cfg = _strong_train(CALIBRATION_PERIOD_BASE, 1, tau)
     step = resolve_step(icfg, cfg, sys)

@@ -625,6 +625,9 @@ def _assert_matches_pulse_loop(rho0, cfg, sys_, rates, icfg):
     return traj
 
 
+# "N" sets the pulse count (15 by default); the other keys are IntegratorConfig
+# fields.  With N = 1 the first block is also the last, and with N = 2 the
+# only later pulse is the last: the one cut drops the gap samples of both.
 @pytest.mark.parametrize(
     "period, icfg_fields",
     [
@@ -633,13 +636,21 @@ def _assert_matches_pulse_loop(rho0, cfg, sys_, rates, icfg):
         (25.0, {"gap_samples": 3, "interpulse_phases": True}),
         (3.3, {}),  # windows overlap: no gap, later windows start where the last ended
         (3.3, {"interpulse_phases": True}),
+        (25.0, {"N": 1, "gap_samples": 0}),
+        (25.0, {"N": 1, "gap_samples": 2}),
+        (3.3, {"N": 1}),
+        (25.0, {"N": 2, "gap_samples": 0}),
+        (25.0, {"N": 2, "gap_samples": 2}),
+        (3.3, {"N": 2}),
     ],
 )
 def test_pulse_blocks_match_per_pulse_loop(monkeypatch, period, icfg_fields):
-    run = _desk_run(15, period, **icfg_fields)
-    _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)  # blocks 1+4+4+4+2
+    fields = dict(icfg_fields)
+    n_pulses = fields.pop("N", 15)
+    run = _desk_run(n_pulses, period, **fields)
+    _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)  # blocks 1+4+4+4+2 at N = 15
     traj = _assert_matches_pulse_loop(*run)
-    assert traj.metadata["diagnostics"]["pulses_run"] == 15
+    assert traj.metadata["diagnostics"]["pulses_run"] == n_pulses
 
 
 def test_early_stop_fires_mid_block_like_per_pulse_loop(monkeypatch):
@@ -776,8 +787,8 @@ def test_memo_hit_gives_the_bytes_of_a_fresh_build(period):
     assert again == fresh and rebuilt == fresh
 
 
-# with overlapping windows the first pulse is filled before the interior map
-# takes the first one's slot
+# with overlapping windows the first pulse's recorded rows are taken before the
+# interior map takes the first one's slot
 @pytest.mark.parametrize("period, builds", [(25.0, 1), (3.3, 2)])
 def test_each_window_map_is_built_once_per_call(monkeypatch, period, builds):
     spans = []

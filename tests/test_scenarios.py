@@ -315,8 +315,15 @@ def test_staircase_stats_match_the_per_pulse_loop(strong_pulse_maps, tau, period
     assert transfer == ref_transfer
 
 
-def test_calibration_full_scan_selects_the_frozen_point():
+def test_calibration_full_scan_selects_the_frozen_point(monkeypatch):
+    builds = []
+    build = dynamics._integrate_window
+    monkeypatch.setattr(dynamics, "_integrate_window", lambda *args: builds.append(args) or build(*args))
+    dynamics._window_memo.clear()
     result = sc.calibrate_fig4()
+    # 14 durations, then the final propagate: the chosen 0.198 is not the last
+    # duration scanned (0.24), so the one-slot memo builds its map again
+    assert len(builds) == 15
     assert result.tau == pytest.approx(sc.FIG4_TAU, abs=1e-12)
     assert abs(result.period - sc.FIG4_PERIOD) < 0.005
     assert result.final_yield > 0.95
