@@ -34,8 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
     VECTOR_COMPONENTS,
     DecoherenceRates,
     DensityMatrix,
@@ -262,12 +260,10 @@ class ResolvedRun:
     tree: dict
 
 
-def resolve_scenario(
-    scenario: str, overrides: tuple[str, ...], convention: str
-) -> ResolvedRun:
+def resolve_scenario(scenario: str, overrides: tuple[str, ...]) -> ResolvedRun:
     preset: ScenarioPreset | None = None
     if scenario in PRESET_NAMES:
-        preset = get_preset(scenario, convention)
+        preset = get_preset(scenario)
         tree = config_tree(preset.sys, preset.cfg, preset.rates, preset.icfg, preset.rho0)
         label = preset.name
     else:
@@ -605,7 +601,7 @@ def write_plotdata(directory: Path, traj: Trajectory) -> None:
 
 def cmd_run(args) -> int:
     emit = _parse_emit(args.emit)
-    resolved = resolve_scenario(args.scenario, tuple(args.set or ()), args.convention)
+    resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
     if args.dump_config is not None:
         text = "\n".join(config_lines(resolved.tree)) + "\n"
         if args.dump_config == "-":
@@ -694,8 +690,8 @@ def parse_axis(spec: str) -> SweepAxis:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"axis {spec!r}: {exc}") from None
-        if count < 1:
-            raise ConfigError(f"axis {spec!r}: count must be at least 1")
+        if not 1 <= count <= SWEEP_CAP:
+            raise ConfigError(f"axis {spec!r}: count {count} is outside 1..{SWEEP_CAP}")
         values = tuple(_g(v) for v in np.linspace(start, stop, count))
     else:
         values = tuple(v.strip() for v in value_part.split(",") if v.strip())
@@ -742,9 +738,7 @@ def _worker_count(n_points: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    resolved = resolve_scenario(
-        args.scenario, tuple(args.set or ()), args.convention
-    )
+    resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
     axes = [parse_axis(args.axis1)] + ([parse_axis(args.axis2)] if args.axis2 else [])
     total = math.prod(len(axis.values) for axis in axes)
     if total > SWEEP_CAP:
@@ -799,9 +793,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(
             f"--threshold: expected a number strictly between 0 and 1, got {args.threshold!r}"
         )
-    resolved = resolve_scenario(
-        args.scenario, tuple(args.set or ()), args.convention
-    )
+    resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
     _, cfg, _, _, _ = objects_from_tree(resolved.tree)
     cfg_s, spec = _surrogate_spectrum(cfg)
     peaks = spectrum_mod.extract_peaks(spec, args.threshold)
@@ -825,7 +817,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_validate_rates(args) -> int:
     if args.scenario is not None:
-        resolved = resolve_scenario(args.scenario, tuple(args.set or ()), args.convention)
+        resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
         _, _, rates, _, _ = objects_from_tree(resolved.tree)
     else:
         try:
@@ -898,12 +890,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one configuration field (dotted path); repeatable",
     )
-    parser.add_argument(
-        "--convention",
-        choices=CONVENTIONS,
-        default=DEFAULT_CONVENTION,
-        help="frequency convention for presets converting laboratory values",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -973,9 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rates.add_argument("--scenario", help="validate a preset's rate set")
     p_rates.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_rates.add_argument(
-        "--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION
-    )
     # rates stay strings here so that _finite_float can reject NaN and inf
     for name in _RATE_FLAGS:
         p_rates.add_argument(f"--{name}", default="0")

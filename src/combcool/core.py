@@ -1,4 +1,4 @@
-"""State containers and unit conventions shared by the whole simulator.
+"""State containers and the unit system shared by the whole simulator.
 
 Everything downstream works in dimensionless units: angular frequencies are
 multiples of a single positive reference frequency, times are multiples of its
@@ -19,14 +19,11 @@ numerical properties.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "CONVENTIONS",
-    "DEFAULT_CONVENTION",
     "DecoherenceRates",
     "DensityMatrix",
     "FrequencyUnit",
@@ -40,14 +37,6 @@ __all__ = [
     "trace",
     "validate_rates",
 ]
-
-# Dimensionless-unit conventions for interpreting quoted laboratory values.
-# 'angular'  : a value quoted in THz is already an angular frequency in
-#              10^12 rad/s, so t_dimless = t_seconds * value * 1e12.
-# 'ordinary' : a value quoted in THz is an ordinary frequency in 10^12 Hz and
-#              the reference angular frequency carries an extra 2*pi.
-CONVENTIONS = ("angular", "ordinary")
-DEFAULT_CONVENTION = "angular"
 
 #: Absolute tolerance for the Lambda ladder identity omega31 = omega32 - omega21.
 LADDER_TOL = 1e-9
@@ -78,12 +67,10 @@ class FrequencyUnit:
             )
 
     @classmethod
-    def from_terahertz(cls, value_thz: float, convention: str = DEFAULT_CONVENTION) -> "FrequencyUnit":
-        """Build the unit from a quoted THz value under the chosen convention."""
-        if convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
-        scale = 1.0 if convention == "angular" else 2.0 * math.pi
-        return cls(reference_angular_frequency=value_thz * 1e12 * scale)
+    def from_terahertz(cls, value_thz: float) -> "FrequencyUnit":
+        """Build the unit from a value quoted in THz, read as an angular
+        frequency in 10^12 rad/s: t_dimless = t_seconds * value * 1e12."""
+        return cls(reference_angular_frequency=value_thz * 1e12)
 
     def time_from_seconds(self, seconds: float) -> float:
         """Convert a real time in seconds to dimensionless units."""

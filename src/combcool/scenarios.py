@@ -18,8 +18,9 @@ name         configuration and headline behaviour
              (0.342 after 3200 pulses).
 ``fig5sp``   fig5 plus spontaneous emission; the extra 2->3 decay channel
              raises the pulse-end fixed point to a 0.4708 yield.
-``fig6sin``  sine-chirped strong comb with decoherence, short period (the
-             inter-pulse coherences survive the gaps); yield stays above 0.8.
+``fig6sin``  sine-chirped strong comb with decoherence, short period; yield
+             0.924 after 130 pulses.  Without the rates the same train keeps
+             pulse-end rho33 below 0.0035 for 2000 pulses.
 ``fig6cos``  cosine-chirped strong comb with decoherence, long period; the
              populations lock into an equal 1-3 mixture with a large 1-3
              coherence instead of transferring.
@@ -31,9 +32,8 @@ Two reference ladders are used.  The weak-drive presets (fig3/fig5 family)
 express every frequency in units of their own 1-3 splitting, quoted as
 125.5 THz; the strong-drive presets (fig4/fig6 family) use their 70 THz
 splitting.  Laboratory times (a 3 fs pulse, a 5 GHz repetition rate) convert
-through :class:`~combcool.core.FrequencyUnit` under either the angular or the
-ordinary frequency convention; the angular convention is the default and the
-one the expected values below were measured under.
+through :class:`~combcool.core.FrequencyUnit`, which reads a THz value as an
+angular frequency.
 
 The strong-drive pulse duration and repetition period are not externally
 given; they are fixed by :func:`calibrate_fig4`, a scripted scan that selects
@@ -54,7 +54,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DEFAULT_CONVENTION,
     DecoherenceRates,
     DensityMatrix,
     FrequencyUnit,
@@ -136,9 +135,10 @@ FIG4_PHI0 = 4.0
 #: ladder unit, re-expressed in the strong unit shared by their drive
 #: geometry so the absolute physical rates match.
 FIG6_RATE = 0.001 * WEAK_UNIT_THZ / STRONG_UNIT_THZ
-#: Short repetition period of the decoherent sine preset (derived): the gaps
-#: are short enough that the inter-pulse coherences survive, preserving the
-#: stepwise-transfer mechanism under dephasing.
+#: Short repetition period of the decoherent sine preset.  It is a chosen
+#: value: no code in the package derives it (calibrate_fig4 derives only
+#: fig4's pair).  With FIG6_RATE the 130-pulse train reaches a 0.924 yield;
+#: with all rates zero it keeps pulse-end rho33 below 0.0035 for 2000 pulses.
 FIG6_SINE_PERIOD = 41.308
 FIG6_SINE_PULSES = 130
 
@@ -310,9 +310,9 @@ def _strong_train(
     )
 
 
-def _weak_times(convention: str) -> tuple[float, float]:
-    """(tau, period) of the weak-drive presets under the chosen convention."""
-    unit = FrequencyUnit.from_terahertz(WEAK_UNIT_THZ, convention)
+def _weak_times() -> tuple[float, float]:
+    """(tau, period) of the weak-drive presets."""
+    unit = FrequencyUnit.from_terahertz(WEAK_UNIT_THZ)
     return (
         unit.time_from_seconds(WEAK_TAU_SECONDS),
         unit.period_from_rep_rate(WEAK_REP_RATE_HZ),
@@ -321,14 +321,13 @@ def _weak_times(convention: str) -> tuple[float, float]:
 
 def _weak_preset(
     name: str,
-    convention: str,
     rabi: float,
     rates: DecoherenceRates,
     expected: tuple[Expectation, ...],
     note: str,
 ) -> ScenarioPreset:
     """A weak-drive preset: resonant standard comb of LONG_RUN_PULSES pulses."""
-    tau, period = _weak_times(convention)
+    tau, period = _weak_times()
     return ScenarioPreset(
         name=name,
         sys=_weak_system(),
@@ -343,7 +342,7 @@ def _weak_preset(
     )
 
 
-def _fig3(convention: str) -> ScenarioPreset:
+def _fig3() -> ScenarioPreset:
     """Resonant weak standard comb: transient excited population near one half.
 
     The carrier sits exactly on the 3-2 transition, the drive is weak
@@ -360,12 +359,12 @@ def _fig3(convention: str) -> ScenarioPreset:
         ),
     )
     return _weak_preset(
-        "fig3", convention, FIG3_RABI, DecoherenceRates.none(), expected,
+        "fig3", FIG3_RABI, DecoherenceRates.none(), expected,
         "resonant weak standard comb, closed system",
     )
 
 
-def _fig5_family(convention: str, spontaneous: bool) -> ScenarioPreset:
+def _fig5_family(spontaneous: bool) -> ScenarioPreset:
     """Weak standard comb with decoherence: incoherent accumulation.
 
     The weak-drive geometry at a tenfold stronger drive than fig3, with
@@ -392,13 +391,13 @@ def _fig5_family(convention: str, spontaneous: bool) -> ScenarioPreset:
         ),
     )
     return _weak_preset(
-        "fig5sp" if spontaneous else "fig5", convention, FIG5_RABI, rates, expected,
+        "fig5sp" if spontaneous else "fig5", FIG5_RABI, rates, expected,
         "weak standard comb, collisional dephasing"
         + (" + spontaneous emission" if spontaneous else ""),
     )
 
 
-def _fig4(convention: str) -> ScenarioPreset:
+def _fig4() -> ScenarioPreset:
     """Sine-chirped strong comb, closed system: stepwise near-full transfer.
 
     Carrier on the 3-2 transition, sinusoidal intra-pulse phase of amplitude
@@ -408,8 +407,7 @@ def _fig4(convention: str) -> ScenarioPreset:
     the two-photon comb tooth onto the 1-3 resonance while both one-photon
     legs stay stroboscopically detuned, so population climbs in adiabatic
     steps with the excited state only transiently occupied, completing in
-    about 109 pulses.  The convention is not used: the strong-drive presets
-    are defined by calibrated dimensionless constants.
+    about 109 pulses.
     """
     expected = (
         Expectation(
@@ -476,10 +474,13 @@ def _fig6_preset(
     )
 
 
-def _fig6sin(convention: str) -> ScenarioPreset:
-    """Odd chirp at a short calibrated period (FIG6_SINE_PERIOD): the
-    inter-pulse gaps cost little coherence, so the stepwise mechanism
-    survives and the yield stays above 0.8."""
+def _fig6sin() -> ScenarioPreset:
+    """Odd chirp at the short period FIG6_SINE_PERIOD, under decoherence.
+
+    The 130-pulse train ends at a 0.924 yield.  The rates are what make it:
+    with all of them zero, the same train never exceeds pulse-end
+    rho33 = 0.0035 over 2000 pulses.
+    """
     expected = (
         Expectation(
             "final_yield",
@@ -494,7 +495,7 @@ def _fig6sin(convention: str) -> ScenarioPreset:
     )
 
 
-def _fig6cos(convention: str) -> ScenarioPreset:
+def _fig6cos() -> ScenarioPreset:
     """Even chirp at the long calibrated period: the drive settles into a
     stationary equal 1-3 mixture with a large 1-3 coherence (the undamped
     coherence of the rate set) instead of transferring."""
@@ -521,7 +522,7 @@ def _fig6cos(convention: str) -> ScenarioPreset:
     )
 
 
-def _fig6std(convention: str) -> ScenarioPreset:
+def _fig6std() -> ScenarioPreset:
     """No chirp at the long period: incoherent accumulation with a degraded
     mid-range yield."""
     expected = (
@@ -539,12 +540,12 @@ def _fig6std(convention: str) -> ScenarioPreset:
     )
 
 
-#: Preset builders by public name; each takes the frequency convention.
+#: Preset builders by public name.
 _PRESETS = {
     "fig3": _fig3,
     "fig4": _fig4,
-    "fig5": lambda convention: _fig5_family(convention, spontaneous=False),
-    "fig5sp": lambda convention: _fig5_family(convention, spontaneous=True),
+    "fig5": lambda: _fig5_family(spontaneous=False),
+    "fig5sp": lambda: _fig5_family(spontaneous=True),
     "fig6sin": _fig6sin,
     "fig6cos": _fig6cos,
     "fig6std": _fig6std,
@@ -553,16 +554,11 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def get_preset(name: str, convention: str = DEFAULT_CONVENTION) -> ScenarioPreset:
-    """Look a preset up by its public name.
-
-    The convention switch only affects presets whose configuration converts
-    laboratory quantities (the weak-drive family); the strong-drive presets
-    are defined directly by calibrated dimensionless constants.
-    """
+def get_preset(name: str) -> ScenarioPreset:
+    """Look a preset up by its public name."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
-    return _PRESETS[name](convention)
+    return _PRESETS[name]()
 
 
 def run_preset(preset: ScenarioPreset) -> Trajectory:
@@ -597,7 +593,7 @@ def transfer_pulse(traj: Trajectory) -> int:
 # ---------------------------------------------------------------------------
 
 #: Default pulse-duration grid: 2, 3, 5 and 10 fs expressed in the strong
-#: unit (70 THz, angular convention).
+#: unit (70 THz).
 CALIBRATION_TAU_GRID = (0.14, 0.21, 0.35, 0.70)
 #: Coarse period base: 200 ps in the strong unit.
 CALIBRATION_PERIOD_BASE = 14000.0

@@ -69,6 +69,19 @@ def test_dump_config_round_trip_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig5sp", "fig6sin", "fig6cos", "fig6std"])
+def test_dumped_config_reproduces_its_run(tmp_path, name):
+    """Every physics input of a preset is a configuration key: the file that
+    --dump-config writes runs to the same bytes as the preset itself."""
+    cfg = tmp_path / f"{name}.cfg"
+    common = ("--set", "train.N=12", "--emit", "timeseries,plotdata")
+    assert run_cli("run", "--scenario", name, *common, "--out", str(tmp_path / "preset")) == EXIT_OK
+    assert run_cli("run", "--scenario", name, *common[:2], "--dump-config", str(cfg)) == EXIT_OK
+    assert run_cli("run", "--scenario", str(cfg), *common[2:], "--out", str(tmp_path / "file")) == EXIT_OK
+    for f in ("timeseries.csv", "plotdata/rho11.csv", "plotdata/rho22.csv", "plotdata/rho33.csv"):
+        assert (tmp_path / "preset" / f).read_bytes() == (tmp_path / "file" / f).read_bytes(), f
+
+
 def test_dump_config_floats_survive_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     run_cli("run", "--scenario", "fig4", "--dump-config", str(path))
@@ -175,7 +188,7 @@ def test_non_finite_config_file_value_is_a_config_error(tmp_path, capsys):
 
 
 def test_overrides_change_resolved_values():
-    resolved = resolve_scenario("fig4", ("train.N=7", "rates.gamma21=0.002"), "angular")
+    resolved = resolve_scenario("fig4", ("train.N=7", "rates.gamma21=0.002"))
     assert resolved.tree["train"]["N"] == 7
     assert resolved.tree["rates"]["gamma21"] == 0.002
     lines = config_lines(resolved.tree)
@@ -409,7 +422,7 @@ def test_run_files_match_per_value_writers(tmp_path, preset_runs):
         )
     for name in ("timeseries.csv", "plotdata/rho11.csv", "plotdata/rho22.csv", "plotdata/rho33.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    resolved = resolve_scenario("fig4", (), "angular")
+    resolved = resolve_scenario("fig4", ())
     summary = "\n".join(summary_lines(resolved, traj)) + "\n"
     assert (out / "summary.txt").read_text(encoding="utf-8") == summary
 
@@ -632,6 +645,17 @@ def test_sweep_grid_cap(tmp_path):
         "--out", str(tmp_path),
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("count", [10**12, 10_001])
+def test_sweep_axis_count_is_capped_before_the_axis_is_built(tmp_path, capsys, count):
+    code = run_cli(
+        "sweep", "--scenario", "fig4",
+        "--axis1", f"train.N=linspace(1,2,{count})", "--out", str(tmp_path),
+    )
+    assert code == EXIT_CONFIG
+    assert f"count {count} is outside 1..10000" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("axis", ["--axis1", "--axis2"])

@@ -1,7 +1,5 @@
 """Unit tests for the core containers: units, levels, rates, states."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -21,22 +19,17 @@ from combcool.core import LADDER_TOL, VECTOR_COMPONENTS
 
 
 def test_unit_angular_convention_takes_quoted_value_as_angular():
-    unit = FrequencyUnit.from_terahertz(125.5, "angular")
+    unit = FrequencyUnit.from_terahertz(125.5)
     assert unit.reference_angular_frequency == pytest.approx(125.5e12)
 
 
-def test_unit_ordinary_convention_multiplies_by_two_pi():
-    unit = FrequencyUnit.from_terahertz(125.5, "ordinary")
-    assert unit.reference_angular_frequency == pytest.approx(2.0 * math.pi * 125.5e12)
-
-
 def test_unit_time_conversion_femtosecond_pulse():
-    unit = FrequencyUnit.from_terahertz(125.5, "angular")
+    unit = FrequencyUnit.from_terahertz(125.5)
     assert unit.time_from_seconds(3e-15) == pytest.approx(0.3765)
 
 
 def test_unit_period_from_rep_rate():
-    unit = FrequencyUnit.from_terahertz(125.5, "angular")
+    unit = FrequencyUnit.from_terahertz(125.5)
     assert unit.period_from_rep_rate(5e9) == pytest.approx(25100.0)
     with pytest.raises(ValueError):
         unit.period_from_rep_rate(0.0)
@@ -45,8 +38,6 @@ def test_unit_period_from_rep_rate():
 def test_unit_validation():
     with pytest.raises(ValueError):
         FrequencyUnit(reference_angular_frequency=0.0)
-    with pytest.raises(ValueError):
-        FrequencyUnit.from_terahertz(125.5, "cycles")
 
 
 # --- LevelSystem ------------------------------------------------------------
