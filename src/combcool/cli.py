@@ -303,7 +303,8 @@ def _check_rates(report: RateReport, rates_mode: str, where: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Rows rendered per kernel call in _write_rows and write_plotdata.  The
+#: Rows rendered per kernel call by the CSV writers (_write_rows, and
+#: write_timeseries and write_plotdata through _row_chunks).  The
 #: kernel holds about 0.3 kB of temporaries per value, so this bounds them and
 #: the text of one chunk; 512 rows keep weak_long_run's peak RSS within 1% of
 #: the previous per-value formatter, while larger chunks raise it.
@@ -473,30 +474,73 @@ def _render_rows(block: np.ndarray) -> str:
     return _text(_render_slots(block))
 
 
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """Write a header line, then the rows of each (n, m) float block as CSV.
+
+    Every value is rendered as '%.17g', which is the same text as _g.  Each
+    block is rendered by _render_rows as it comes, so the text of the whole
+    file is never held in memory.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            fh.write(_render_rows(block))
+
+
 def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
     """Write a header line, then the rows of the given columns as CSV.
 
     Each column is a float array of n rows, 1-D (one CSV column) or (n, k)
-    (k CSV columns); a row is the columns' rows side by side.  Every value
-    is rendered as '%.17g', which is the same text as _g.  The rows go out
-    _ROW_CHUNK at a time: each chunk's slices of the columns are stacked and
-    rendered by _render_rows, so neither the stacked block nor the text of
-    the whole file is ever held in memory.
+    (k CSV columns); a row is the columns' rows side by side.  The rows go
+    out _ROW_CHUNK at a time: each chunk's slices of the columns are stacked
+    and rendered, so the stacked block of all rows is never held.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for start in range(0, n, _ROW_CHUNK):
-            part = np.column_stack([c[start : start + _ROW_CHUNK] for c in columns])
-            fh.write(_render_rows(part))
+    chunks = (
+        np.column_stack([c[start : start + _ROW_CHUNK] for c in columns])
+        for start in range(0, n, _ROW_CHUNK)
+    )
+    _write_csv(path, header, chunks)
+
+
+def _row_chunks(traj: Trajectory):
+    """Yield (times, data) of traj's rows, _ROW_CHUNK at a time (the last may be short).
+
+    The chunks are joined from traj.row_blocks, so only the blocks that
+    feed one chunk are held at a time.
+    """
+    # Freeing a block that glibc's malloc placed by mmap raises its mmap
+    # threshold to the block's size and its heap-trim threshold to twice
+    # that.  With the thresholds below the temporaries of one render, the
+    # heap is trimmed after every chunk and the next chunk faults its pages
+    # back in: 30,000-50,000 minor faults, about 0.1 s, per fig3
+    # timeseries.csv.  This 1 MB block is freed untouched, so it costs no
+    # resident memory; other allocators just allocate and free it.
+    np.empty(1 << 17)
+    times, data = np.empty(0), np.empty((0, 9))
+    for block_times, block_data in traj.row_blocks():
+        if len(times):
+            block_times = np.concatenate((times, block_times))
+            block_data = np.concatenate((data, block_data))
+        whole = len(block_times) - len(block_times) % _ROW_CHUNK
+        for start in range(0, whole, _ROW_CHUNK):
+            yield block_times[start : start + _ROW_CHUNK], block_data[start : start + _ROW_CHUNK]
+        times, data = block_times[whole:], block_data[whole:]
+    if len(times):
+        yield times, data
 
 
 def write_timeseries(path: Path, traj: Trajectory) -> None:
-    _write_rows(path, TIMESERIES_HEADER, traj.times, traj.data, traj.trace_series)
+    """Write timeseries.csv: t, the nine components and the trace of each row."""
+    chunks = (
+        np.column_stack((times, data, data[:, :3].sum(axis=1)))
+        for times, data in _row_chunks(traj)
+    )
+    _write_csv(path, TIMESERIES_HEADER, chunks)
 
 
 def summary_lines(resolved: ResolvedRun, traj: Trajectory) -> list[str]:
@@ -585,9 +629,8 @@ def write_plotdata(directory: Path, traj: Trajectory) -> None:
         for name in _PLOT_NAMES:
             outs.append(stack.enter_context(open(directory / f"{name}.csv", "w", encoding="utf-8")))
             outs[-1].write(f"t,{name}\n")
-        for start in range(0, traj.n_samples, _ROW_CHUNK):
-            rows = slice(start, start + _ROW_CHUNK)
-            slots = _render_slots(np.column_stack((traj.times[rows], traj.data[rows, :3])))
+        for times, data in _row_chunks(traj):
+            slots = _render_slots(np.column_stack((times, data[:, :3])))
             slots[:, 1:, 45] = ord("\n")
             for column, out in enumerate(outs, 1):
                 out.write(_text(slots[:, (0, column)]))

@@ -19,7 +19,7 @@ numerical properties.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -337,44 +337,117 @@ def hermitian_defect(rho) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-@dataclass
 class Trajectory:
     """Time-ordered samples of a propagated density matrix.
 
-    times and data are parallel arrays; data rows are the real 9-vector
-    representation (see VECTOR_COMPONENTS).  pulse_end_indices marks, for each
-    integrated pulse, the sample taken at the end of its integration window,
+    A row is one sample: its time in times and its real 9-vector (see
+    VECTOR_COMPONENTS) in data.  pulse_end_indices marks, for each
+    integrated pulse, the row taken at the end of its integration window,
     which is what per-pulse diagnostics (transfer step counts, early-stop
     detection) read.  metadata carries the fully resolved configuration that
     produced the trajectory plus integration diagnostics.
+
+    A trajectory is built from the arrays times and data, or, as propagate
+    builds it, from blocks: one (n_rows, ends, form) triple per run of
+    consecutive rows, where ends holds the pulse-end rows that fall in the
+    block and form() returns the block's (times, data).  A block-built
+    trajectory holds no rows.  row_blocks, pulse_ends and last_rows form
+    only the blocks they read, each time they read them; times and data,
+    and every property built on them, are formed once, on first access.
     """
 
-    times: np.ndarray
-    data: np.ndarray
-    pulse_end_indices: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, times=None, data=None, pulse_end_indices=(), metadata=None, *, blocks=None):
+        self._times, self._data = times, data
+        self.pulse_end_indices = pulse_end_indices
+        self.metadata = {} if metadata is None else metadata
+        self.blocks = blocks
+        # the checks run in __post_init__, the hook perfbench's tracer wraps to count samples
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.data = np.asarray(self.data, dtype=float)
+        """Check the rows (or the blocks' row counts) against pulse_end_indices."""
         self.pulse_end_indices = np.asarray(self.pulse_end_indices, dtype=int)
-        if self.times.ndim != 1:
-            raise ValueError("times must be one-dimensional")
-        if self.data.shape != (self.times.size, 9):
-            raise ValueError(
-                f"data shape {self.data.shape} does not match {self.times.size} samples"
-            )
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("times must be strictly increasing")
+        if self.blocks is None:
+            self._times = np.asarray(self._times, dtype=float)
+            self._data = np.asarray(self._data, dtype=float)
+            if self._times.ndim != 1:
+                raise ValueError("times must be one-dimensional")
+            if self._data.shape != (self._times.size, 9):
+                raise ValueError(
+                    f"data shape {self._data.shape} does not match {self._times.size} samples"
+                )
+            if self._times.size > 1 and not np.all(np.diff(self._times) > 0.0):
+                raise ValueError("times must be strictly increasing")
+            self._n_samples = self._times.size
+        else:
+            self._n_samples = sum(n_rows for n_rows, _, _ in self.blocks)
         if self.pulse_end_indices.size and (
             self.pulse_end_indices.min() < 0
-            or self.pulse_end_indices.max() >= self.times.size
+            or self.pulse_end_indices.max() >= self._n_samples
         ):
             raise ValueError("pulse_end_indices out of range")
 
+    def __getstate__(self) -> dict:
+        # a pickle holds the formed arrays: the blocks' formers are local functions
+        return {**self.__dict__, "_times": self.times, "_data": self.data, "blocks": None}
+
+    def _form_arrays(self) -> None:
+        """Form times and data from all the blocks, once."""
+        self._times, self._data = _join_blocks(self.blocks)
+
+    @property
+    def times(self) -> np.ndarray:
+        if self._times is None:
+            self._form_arrays()
+        return self._times
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._form_arrays()
+        return self._data
+
+    def row_blocks(self):
+        """Yield (times, data) of consecutive rows, from the first row to the last.
+
+        Arrays already held come out as one block; otherwise each block is
+        formed when it is reached.
+        """
+        if self._data is not None:
+            yield self._times, self._data
+            return
+        for _, _, form in self.blocks:
+            yield form()
+
+    @property
+    def pulse_ends(self) -> np.ndarray:
+        """(pulses, 9) rows of the pulse ends, data[pulse_end_indices]."""
+        if self.blocks is None:
+            return self._data[self.pulse_end_indices]
+        return np.concatenate([ends for _, ends, _ in self.blocks])
+
+    def last_rows(self, m: int) -> np.ndarray:
+        """The last m >= 1 rows of data, an (m, 9) view of C-ordered rows.
+
+        A block-built trajectory forms only the trailing blocks that hold them,
+        or none when the last row alone is read and it is the last pulse end.
+        """
+        if self._data is not None:
+            return self._data[-m:]
+        ends = self.pulse_end_indices
+        if m == 1 and ends.size and ends[-1] == self._n_samples - 1:
+            return self.blocks[-1][1][-1:]
+        tail, held = [], 0
+        for block in reversed(self.blocks):
+            if held >= m:
+                break
+            tail.append(block)
+            held += block[0]
+        return _join_blocks(tail[::-1])[1][-m:]
+
     @property
     def n_samples(self) -> int:
-        return int(self.times.size)
+        return int(self._n_samples)
 
     @property
     def populations(self) -> np.ndarray:
@@ -414,4 +487,15 @@ class Trajectory:
 
     @property
     def final_state(self) -> DensityMatrix:
-        return self.state(-1)
+        return DensityMatrix.from_vector(self.last_rows(1)[0])
+
+
+def _join_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(times, data) of consecutive trajectory blocks, each formed into its slice."""
+    n_total = sum(n_rows for n_rows, _, _ in blocks)
+    times, data = np.empty(n_total), np.empty((n_total, 9))
+    row = 0
+    for n_rows, _, form in blocks:
+        times[row:row + n_rows], data[row:row + n_rows] = form()
+        row += n_rows
+    return times, data

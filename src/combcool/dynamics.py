@@ -47,6 +47,7 @@ offset is one gap map over the block's stacked pulse ends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, astuple, dataclass
 
@@ -464,20 +465,27 @@ def _window_map(span, step, cfg: PulseTrainConfig, sys: LevelSystem, rates: Deco
     return maps
 
 
-def _scan_states(states: np.ndarray, times: np.ndarray, trace_tol: float, pop_tol: float):
+def _at(times, row: int) -> str:
+    """' at t = ...' of one row for a guard's error text, or nothing without times."""
+    return "" if times is None else f" at t = {times[row]:g}"
+
+
+def _scan_states(states: np.ndarray, times, trace_tol: float, pop_tol: float):
     """Trace and positivity guards over a block of fine states.
 
     Reads only the populations, columns 0-2 of each row, so states may be
     the (m, 3) population rows alone.  Returns (max |trace - 1|, min
     population, max rho22) for the block.  A non-finite trace (NaN or
-    infinite populations) counts as trace drift.
+    infinite populations) counts as trace drift.  times gives the time of
+    each row for the error text; a caller that rescans a failing block with
+    the times passes None, and the first error names no time.
     """
     p1, p2, p3 = states[:, 0], states[:, 1], states[:, 2]
     drift = np.abs(p1 + p2 + p3 - 1.0)
     worst = int(drift.argmax())
     if not drift[worst] <= trace_tol:
         raise TraceDrift(
-            f"|trace - 1| = {drift[worst]:.3e} > {trace_tol:.0e} at t = {times[worst]:g}; "
+            f"|trace - 1| = {drift[worst]:.3e} > {trace_tol:.0e}{_at(times, worst)}; "
             "integration step or tolerances are inadequate"
         )
     lowest = np.minimum(np.minimum(p1, p2), p3)
@@ -485,7 +493,7 @@ def _scan_states(states: np.ndarray, times: np.ndarray, trace_tol: float, pop_to
     pmin = float(lowest[low])
     if pmin < -pop_tol:
         raise NegativePopulation(
-            f"population {pmin:.3e} < -{pop_tol:.0e} at t = {times[low]:g}; "
+            f"population {pmin:.3e} < -{pop_tol:.0e}{_at(times, low)}; "
             "integration step or tolerances are inadequate"
         )
     return float(drift[worst]), pmin, float(p2.max())
@@ -518,37 +526,36 @@ def propagate(
 
     Pulse 0 is the first block, alone on the first window; later pulses
     run in blocks whose fine states fit _BLOCK_BYTES (72 bytes per fine
-    step and pulse).  The gap-map
-    factors are formed once per call, before either pass: one set for the
-    carried gap (only if the train crosses a gap or rotates) and one per
-    in-gap sample offset.  The run makes two passes over the same blocks:
+    step and pulse).  The gap-map factors are formed once per call: one set
+    for the carried gap (only if the train crosses a gap or rotates) and one
+    per in-gap sample offset.  Two passes run over the same blocks:
 
-    - The carry.  Pulse-start and pulse-end states are carried along each
-      block with the pulse-end map and the gap map, and kept per block.  The
-      early-stop rule reads the block's carried ends, so the carry ends with
-      the block of the stopping pulse and keeps only the pulses that run.
-      Each kept block is then scanned once: one matrix product with the
-      population rows of the window map gives the populations of every
+    - The carry, here.  Pulse-start and pulse-end states are carried along
+      each block with the pulse-end map and the gap map, and kept per block.
+      The early-stop rule reads the block's carried ends, so the carry ends
+      with the block of the stopping pulse and keeps only the pulses that
+      run.  Each kept block is then scanned once: one matrix product with
+      the population rows of the window map gives the populations of every
       fine state, each pulse's last one taken from its carried end.
-    - The fill.  times, data and pulse_end_indices are allocated once, at
-      their exact size.  One loop forms every pulse of every block in
-      full: one matrix product with the recorded rows of the block's
-      window map gives the recorded samples, each pulse's last row is its
-      carried end (the state the next gap map acts on), and each in-gap
-      sample offset is one gap map applied to the block's stacked pulse
-      ends.  Each block writes as many rows as its slice of the output
-      arrays holds, so the one cut at the row count drops the gap samples
-      of the train's last pulse, the last of the train or the one that
-      stopped it.
+    - The block formation, in the returned Trajectory, wherever its rows
+      are read.  Forming a block is one matrix product of its carried
+      starts with the recorded rows of its window map, which gives the
+      recorded samples; each pulse's last row is its carried end (the
+      state the next gap map acts on), and each in-gap sample offset is one
+      gap map applied to the block's stacked pulse ends.  A block forms as
+      many rows as its row count, so the one cut at the row count of the
+      last block drops the gap samples of the train's last pulse, the last
+      of the train or the one that stopped it.
 
     Pulse 0 is carried and scanned on the first window, and its recorded
     rows are taken, before any interior map is fetched.  With a gap every
     pulse shares the first window and its recorded rows; without one, later
     windows start where the one before ended, and overlapping windows
-    (2w > T), whose spans differ, build each map once.  Beside the returned
-    arrays a call holds the window map, the carried states (144 bytes per
-    pulse), the recorded rows of each window and one block's temporaries,
-    about _BLOCK_BYTES.
+    (2w > T), whose spans differ, build each map once.  A call holds the
+    window map and one block's temporaries, about _BLOCK_BYTES; the
+    trajectory it returns holds the carried states (144 bytes per pulse),
+    the pulse-end indices and the recorded rows of each window, and no
+    sample rows.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
@@ -613,23 +620,24 @@ def propagate(
         pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
         # the recorded pulse end is exactly the state the next gap map acts on
         pops[:, -1] = ends[:, :3]
-        abs_times = (k + np.arange(n_block))[:, None] * T + s_grid
         try:
-            return _scan_states(pops.reshape(-1, 3), abs_times.ravel(), *tols)
+            return _scan_states(pops.reshape(-1, 3), None, *tols)
         except IntegrationError:
-            # name the first failing pulse, as a pulse-by-pulse scan would
+            # name the first failing pulse and its time, as a pulse-by-pulse scan would
+            abs_times = (k + np.arange(n_block))[:, None] * T + s_grid
             for pulse_pops, pulse_times in zip(pops, abs_times):
                 _scan_states(pulse_pops, pulse_times, *tols)
             raise
 
-    def fill(k, window, starts, ends, times_out, data_out):
-        """Write the rows of the carried pulses from k on, as many as the output slices hold.
+    def fill(k, window, pair, n_rows):
+        """(times, rows) of the carried pulses from k on, the first n_rows of them.
 
         Each pulse forms its recorded rows, the last of them its carried end,
-        then its gap samples; the cut at the end of the slices drops the gap
-        samples of the train's last pulse.
+        then its gap samples; the cut at n_rows drops the gap samples of the
+        train's last pulse.
         """
         s_grid, sel, sel_rows = window
+        starts, ends = pair
         n_block = len(starts)
         starts_t = (k + np.arange(n_block))[:, None] * T
         pulse_times = np.empty((n_block, sel.size + n_gap_samples))
@@ -640,8 +648,7 @@ def propagate(
         pulse_rows[:, sel.size - 1] = ends
         for j, factors in enumerate(offsets, sel.size):
             pulse_rows[:, j] = _apply_free(ends.T, factors).T
-        times_out[:] = pulse_times.ravel()[:times_out.size]
-        data_out[:] = pulse_rows.reshape(-1, 9)[:len(data_out)]
+        return pulse_times.ravel()[:n_rows], pulse_rows.reshape(-1, 9)[:n_rows]
 
     # pass 1: carry and scan the pulses to the end of the train or the early stop
     v = rho0.to_vector()
@@ -680,21 +687,23 @@ def propagate(
             blocks.append((window, pair))
             k += pair.shape[1]
 
-    # pass 2: fill arrays of the exact size, block by block; the train's last
-    # pulse records no gap samples
-    n_rows = sum((window[1].size + n_gap_samples) * pair.shape[1] for window, pair in blocks)
-    n_rows -= n_gap_samples
-    times, data = np.empty(n_rows), np.empty((n_rows, 9))
+    # pass 2 is left to the trajectory: each block keeps its carried pulses,
+    # and fill forms its rows where they are read; the train's last pulse
+    # records no gap samples
+    row_blocks = []
     pulse_end_indices = np.empty(k, dtype=int)
     row = pulse = 0
-    for window, (starts, ends) in blocks:
-        n_block, row_len = len(starts), window[1].size + n_gap_samples
-        n = n_block * row_len
-        fill(pulse, window, starts, ends, times[row:row + n], data[row:row + n])
-        pulse_end_indices[pulse:pulse + n_block] = row + window[1].size - 1 + row_len * np.arange(n_block)
-        row += n
+    for window, pair in blocks:
+        n_block, n_sel = pair.shape[1], window[1].size
+        row_len = n_sel + n_gap_samples
+        pulse_end_indices[pulse:pulse + n_block] = row + n_sel - 1 + row_len * np.arange(n_block)
+        n_rows = n_block * row_len - (n_gap_samples if pulse + n_block == k else 0)
+        row_blocks.append((n_rows, pair[1], functools.partial(fill, pulse, window, pair, n_rows)))
+        row += n_rows
         pulse += n_block
 
+    (first_grid, _, _), _ = blocks[0]
+    (last_grid, _, _), _ = blocks[-1]
     drifts, pmins, p2maxes = zip(*extremes)
     metadata = config_tree(sys, cfg, rates, icfg, rho0)
     metadata["resolved_step"] = step
@@ -704,15 +713,11 @@ def propagate(
         "max_rho22": max(p2maxes),
         "pulses_run": k,
         "early_stopped": stopped_early,
-        "t_begin": float(times[0]),
-        "t_end": float(times[-1]),
+        # the first row opens pulse 0's window; the last closes pulse k - 1's
+        "t_begin": float(first_grid[0]),
+        "t_end": float((k - 1) * T + last_grid[-1]),
     }
-    return Trajectory(
-        times=times,
-        data=data,
-        pulse_end_indices=pulse_end_indices,
-        metadata=metadata,
-    )
+    return Trajectory(pulse_end_indices=pulse_end_indices, metadata=metadata, blocks=row_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +726,7 @@ def propagate(
 
 def quantum_yield(traj: Trajectory) -> float:
     """Target-state population of the final sample."""
-    return float(traj.rho33[-1])
+    return float(traj.last_rows(1)[0, 2])
 
 
 def steady_state_yield(traj: Trajectory, trailing_fraction: float = 0.05) -> float:
@@ -729,4 +734,4 @@ def steady_state_yield(traj: Trajectory, trailing_fraction: float = 0.05) -> flo
     if not 0.0 < trailing_fraction <= 1.0:
         raise ValueError("trailing_fraction must be in (0, 1]")
     m = max(1, int(math.ceil(trailing_fraction * traj.n_samples)))
-    return float(traj.rho33[-m:].mean())
+    return float(traj.last_rows(m)[:, 2].mean())

@@ -248,9 +248,9 @@ def measure_quantity(traj: Trajectory, quantity: str) -> float:
     if quantity == "transfer_pulse":
         return float(transfer_pulse(traj))
     if quantity == "final_rho11":
-        return float(traj.rho11[-1])
+        return traj.final_state.rho11
     if quantity == "final_coherence13":
-        return float(abs(traj.rho13[-1]))
+        return float(abs(traj.final_state.rho13))
     raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -491,7 +491,7 @@ def _fig6sin() -> ScenarioPreset:
     )
     return _fig6_preset(
         "fig6sin", _strong_train(FIG6_SINE_PERIOD, FIG6_SINE_PULSES), 10, expected,
-        "sine chirp, decoherent, short calibrated period",
+        f"sine chirp, decoherent, chosen short period T = {FIG6_SINE_PERIOD:g}",
     )
 
 
@@ -578,7 +578,7 @@ def transfer_pulse(traj: Trajectory) -> int:
     Falls back to the pulse count when the final target population is zero
     (nothing was ever transferred).
     """
-    ends = traj.rho33[traj.pulse_end_indices]
+    ends = traj.pulse_ends[:, 2]
     if ends.size == 0:
         raise ValueError("trajectory contains no completed pulses")
     final = ends[-1]

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from combcool.cli import (
     write_spectrum_csv,
 )
 from combcool.core import Trajectory
-from combcool.scenarios import get_preset
+from combcool.scenarios import get_preset, run_preset
 
 from helpers import (
     DESK_OMEGA_L,
@@ -56,6 +57,11 @@ def test_list_scenarios(capsys):
     out = capsys.readouterr().out
     for name in ("fig3", "fig4", "fig5", "fig5sp", "fig6sin", "fig6cos", "fig6std"):
         assert name in out
+    # the short period of fig6sin is chosen, not calibrated
+    assert (
+        "fig6sin  sine chirp, decoherent, chosen short period T = 41.308; "
+        "mod=sine, N=130, T=41.308, tau=0.198, rabi=1, decoherent\n"
+    ) in out
 
 
 def test_dump_config_round_trip_is_byte_identical(tmp_path):
@@ -999,3 +1005,41 @@ def test_rendering_tables_are_built_without_fractions_or_decimal(subprocess_pyth
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+# --- memory follows pulses, not samples -------------------------------------------
+
+
+def test_run_with_every_emitter_never_forms_the_full_arrays(tmp_path, monkeypatch):
+    """The writers and readouts read row blocks, pulse ends and the last rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Trajectory, "_form_arrays", lambda self: pytest.fail("arrays formed"))
+        emit = "timeseries,summary,plotdata,spectrum"
+        assert run_cli("run", "--scenario", "fig6sin", "--emit", emit, "--out", str(tmp_path)) == EXIT_OK
+    traj = run_preset(get_preset("fig6sin"))
+    write_csv_reference(
+        tmp_path / "ref.csv", cli.TIMESERIES_HEADER, (traj.times, *traj.data.T, traj.trace_series)
+    )
+    assert (tmp_path / "timeseries.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _run_peak_bytes(out: Path, n_pulses: int) -> int:
+    """tracemalloc peak of a fig3 run with every file emitter, its window map built in the run."""
+    dynamics._window_memo.clear()
+    tracemalloc.start()
+    try:
+        emit = "timeseries,summary,plotdata"
+        argv = ("--scenario", "fig3", "--set", f"train.N={n_pulses}", "--emit", emit, "--out", str(out))
+        assert run_cli("run", *argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_follows_pulses_not_samples(tmp_path):
+    """fig3 at 6400 pulses records 224,000 rows (18 MB as arrays) in under 10 MB;
+    twice the pulses add under 2 MB."""
+    peak = _run_peak_bytes(tmp_path / "a", 6400)
+    doubled = _run_peak_bytes(tmp_path / "b", 12800)
+    assert peak < 10e6
+    assert doubled - peak < 2e6

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -482,6 +483,13 @@ def test_scan_states_treats_non_finite_populations_as_trace_drift(bad):
         _scan_states(states, np.arange(8.0), 1e-6, 1e-6)
 
 
+def test_scan_states_without_times_names_no_time():
+    states = np.tile(DensityMatrix.pure(1).to_vector(), (8, 1))
+    states[5, 1] = -0.5
+    with pytest.raises(TraceDrift, match=r"^\|trace - 1\| = 5\.000e-01 > 1e-06; "):
+        _scan_states(states, None, 1e-6, 1e-6)
+
+
 def test_nan_rate_stops_propagation_with_trace_drift():
     sys_ = LevelSystem.from_transitions(3.0, 4.0)
     cfg = PulseTrainConfig(rabi_peak=0.8, omega_L=4.0, tau=0.3, T=25.0, N=4)
@@ -748,6 +756,14 @@ def test_propagate_holds_one_copy_of_its_trajectory():
         tracemalloc.stop()
     arrays = traj.times.nbytes + traj.data.nbytes + traj.pulse_end_indices.nbytes
     assert peak <= arrays + 3 * dynamics._BLOCK_BYTES
+
+
+def test_propagated_trajectory_pickles_as_its_arrays():
+    traj = quiet_propagate(*_desk_run(15, gap_samples=3))
+    again = pickle.loads(pickle.dumps(traj))
+    assert again.blocks is None and again.metadata == traj.metadata
+    for name in ("times", "data", "pulse_end_indices"):
+        assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()
 
 
 @pytest.mark.parametrize(

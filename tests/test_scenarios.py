@@ -198,6 +198,66 @@ def test_transfer_pulse_zero_yield_fallback():
     assert sc.transfer_pulse(traj) == 3
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).view(np.uint64).tobytes()
+
+
+def _readouts(traj) -> list[float]:
+    """Every yield readout and expectation quantity of a trajectory."""
+    values = [
+        dynamics.quantum_yield(traj),
+        steady_state_yield(traj),
+        steady_state_yield(traj, trailing_fraction=0.5),
+        steady_state_yield(traj, trailing_fraction=1.0),
+        sc.transfer_pulse(traj),
+    ]
+    return values + [sc.measure_quantity(traj, q) for q in sc.EXPECTATION_QUANTITIES]
+
+
+def _array_readouts(traj) -> list[float]:
+    """The same readouts as plain expressions on the formed arrays."""
+    def trailing(fraction):
+        m = max(1, int(np.ceil(fraction * traj.n_samples)))
+        return traj.rho33[-m:].mean()
+
+    ends = traj.rho33[traj.pulse_end_indices]
+    hits = np.nonzero(ends > 0.95 * ends[-1])[0]
+    transfer = int(hits[0]) + 1 if hits.size else ends.size
+    by_quantity = {
+        "final_yield": traj.rho33[-1],
+        "steady_yield": trailing(0.05),
+        "max_rho22": traj.metadata["diagnostics"]["max_rho22"],
+        "transfer_pulse": transfer,
+        "final_rho11": traj.rho11[-1],
+        "final_coherence13": abs(traj.rho13[-1]),
+    }
+    values = [traj.rho33[-1], trailing(0.05), trailing(0.5), trailing(1.0), transfer]
+    return values + [by_quantity[q] for q in sc.EXPECTATION_QUANTITIES]
+
+
+@pytest.mark.parametrize("name", sc.PRESET_NAMES)
+def test_readouts_from_pulse_states_equal_array_readouts(monkeypatch, name):
+    """A propagated trajectory reads its rows block by block and its pulse
+    ends from the carry, bit for bit what the formed arrays hold."""
+    traj = sc.run_preset(sc.get_preset(name))
+    with monkeypatch.context() as patch:
+        patch.setattr(Trajectory, "_form_arrays", lambda self: pytest.fail("arrays formed"))
+        blocks = list(traj.row_blocks())
+        pulse_ends = traj.pulse_ends
+        readouts = _readouts(traj)
+    times, data = traj.times, traj.data
+    assert _bits(np.concatenate([t for t, _ in blocks])) == _bits(times)
+    assert _bits(np.concatenate([d for _, d in blocks])) == _bits(data)
+    assert _bits(pulse_ends) == _bits(data[traj.pulse_end_indices])
+    diag = traj.metadata["diagnostics"]
+    assert _bits([diag["t_begin"], diag["t_end"]]) == _bits(times[[0, -1]])
+    arrays = Trajectory(
+        times=times, data=data, pulse_end_indices=traj.pulse_end_indices, metadata=traj.metadata
+    )
+    assert _bits(_readouts(arrays)) == _bits(readouts)
+    assert _bits(_array_readouts(arrays)) == _bits(readouts)
+
+
 # --- preset runs ---------------------------------------------------------------------
 
 
