@@ -384,6 +384,44 @@ def free_evolution(rho: DensityMatrix, dt: float, rates: DecoherenceRates) -> De
 # Window integration
 # ---------------------------------------------------------------------------
 
+def _window_steps(s_lo: float, s_hi: float, step: float) -> tuple[int, float]:
+    """(n, h): the RK4 step count and the equal step that span [s_lo, s_hi]."""
+    length = s_hi - s_lo
+    if not length > 0.0:
+        raise ValueError("window must have positive length")
+    n = max(1, int(math.ceil(length / step)))
+    return n, length / n
+
+
+def _step_map_slices(
+    s_lo: float,
+    n: int,
+    h: float,
+    cfg: PulseTrainConfig,
+    sys: LevelSystem,
+    rates: DecoherenceRates,
+):
+    """Yield (lo, step_maps) for each _STEP_MAP_CHUNK slice of an n-step window.
+
+    step_maps[j] is the RK4 step map S_lo+j = I + h/6 (K1 + 2 K2 + 2 K3 +
+    K4), with K1 = L(s_i), K2 = L_mid (I + h/2 K1), K3 = L_mid (I + h/2 K2)
+    and K4 = L(s_i+1) (I + h K3).  Each slice forms the generators at its own
+    grid nodes (both ends, so adjacent slices share one node) and midpoints,
+    so every stack is bounded by the slice whatever the window length, and
+    each node is the same expression s_lo + h * i as in the window's s_grid.
+    """
+    eye = np.eye(9)
+    for lo in range(0, n, _STEP_MAP_CHUNK):
+        hi = min(lo + _STEP_MAP_CHUNK, n)
+        L_grid = _generator_matrices(s_lo + h * np.arange(lo, hi + 1), cfg, sys, rates)
+        L_mid = _generator_matrices(s_lo + h * (np.arange(lo, hi) + 0.5), cfg, sys, rates)
+        k1 = L_grid[:-1]
+        k2 = L_mid @ (eye + (0.5 * h) * k1)
+        k3 = L_mid @ (eye + (0.5 * h) * k2)
+        k4 = L_grid[1:] @ (eye + h * k3)
+        yield lo, eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _integrate_window(
     s_lo: float,
     s_hi: float,
@@ -395,39 +433,45 @@ def _integrate_window(
 ):
     """Integrate v' = L(s) v (or M' = L M for matrix x0) over one window.
 
-    Returns (s_grid, x_fine) with x_fine[i] the solution at s_grid[i].  The
-    integrator is classic fixed-step RK4 as step maps S_i = I + h/6 (K1 +
-    2 K2 + 2 K3 + K4), with K1 = L(s_i), K2 = L_mid (I + h/2 K1), K3 = L_mid
-    (I + h/2 K2) and K4 = L(s_i+1) (I + h K3).  The steps run in slices of
-    _STEP_MAP_CHUNK: each slice forms the generators at its own grid nodes
-    (both ends, so adjacent slices share one node) and midpoints, forms its
-    step maps as stacked 9x9 products and applies them in order, x_i+1 =
-    S_i x_i.  Every stack is thus bounded by the slice, whatever the window
-    length, and each node is the same expression s_lo + h * i as in s_grid.
+    Returns (s_grid, x_fine) with x_fine[i] the solution at s_grid[i], every
+    fine state kept.  The integrator is classic fixed-step RK4: the step maps
+    of each slice come from _step_map_slices and are applied in order,
+    x_i+1 = S_i x_i.  A caller that reads only the window's end map uses
+    _window_end_map, which applies the same maps without the history.
     """
-    length = s_hi - s_lo
-    if not length > 0.0:
-        raise ValueError("window must have positive length")
-    n = max(1, int(math.ceil(length / step)))
-    h = length / n
+    n, h = _window_steps(s_lo, s_hi, step)
     s_grid = s_lo + h * np.arange(n + 1)
 
     x_fine = np.empty((n + 1,) + x0.shape)
     x_fine[0] = x0
-    eye = np.eye(9)
-    for lo in range(0, n, _STEP_MAP_CHUNK):
-        hi = min(lo + _STEP_MAP_CHUNK, n)
-        L_grid = _generator_matrices(s_lo + h * np.arange(lo, hi + 1), cfg, sys, rates)
-        L_mid = _generator_matrices(s_lo + h * (np.arange(lo, hi) + 0.5), cfg, sys, rates)
-        k1 = L_grid[:-1]
-        k2 = L_mid @ (eye + (0.5 * h) * k1)
-        k3 = L_mid @ (eye + (0.5 * h) * k2)
-        k4 = L_grid[1:] @ (eye + h * k3)
-        step_maps = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        done = x_fine[lo:hi + 1]
+    for lo, step_maps in _step_map_slices(s_lo, n, h, cfg, sys, rates):
+        done = x_fine[lo:lo + len(step_maps) + 1]
         for s_map, x, x_next in zip(step_maps, done, done[1:]):
             np.dot(s_map, x, out=x_next)
     return s_grid, x_fine
+
+
+def _window_end_map(
+    s_lo: float,
+    s_hi: float,
+    step: float,
+    cfg: PulseTrainConfig,
+    sys: LevelSystem,
+    rates: DecoherenceRates,
+) -> np.ndarray:
+    """The 9x9 map of one whole window: _integrate_window(..., eye)[1][-1].
+
+    The same step maps go through the same np.dot calls, so the result is
+    bitwise the last fine state of the full build, but the product alternates
+    between two 9x9 buffers instead of filling the window's history.
+    """
+    n, h = _window_steps(s_lo, s_hi, step)
+    x, y = np.eye(9), np.empty((9, 9))
+    for _, step_maps in _step_map_slices(s_lo, n, h, cfg, sys, rates):
+        for s_map in step_maps:
+            np.dot(s_map, x, out=y)
+            x, y = y, x
+    return x
 
 
 #: One-slot memo of window maps: {key: (s_grid, m_fine)}, never more than one entry.

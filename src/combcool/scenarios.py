@@ -38,11 +38,11 @@ angular frequency.
 The strong-drive pulse duration and repetition period are not externally
 given; they are fixed by :func:`calibrate_fig4`, a scripted scan that selects
 the (tau, period) pair producing stepwise transfer completing in 109 +/- 10
-pulses.  The scan takes one pulse map per duration from propagate's window
-memo (dynamics._window_map) and scores each candidate period from the powers
-of its 9x9 one-period map (pulse map, then the inter-pulse rotation), formed
-by repeated doubling.  The chosen values
-are frozen into module constants and marked with ``derived`` provenance on
+pulses.  The scan integrates one pulse-end map per duration
+(dynamics._window_end_map, no fine-state history) and scores each candidate
+period from the powers of its 9x9 one-period map (pulse map, then the
+inter-pulse rotation), formed by repeated doubling.  The chosen values are
+frozen into module constants and marked with ``derived`` provenance on
 the corresponding expectations.
 """
 
@@ -69,7 +69,7 @@ from .dynamics import (
     _gap_factors,
     _interpulse_angles,
     _map_powers,
-    _window_map,
+    _window_end_map,
     propagate,
     quantum_yield,
     resolve_step,
@@ -497,8 +497,13 @@ def _fig6sin() -> ScenarioPreset:
 
 def _fig6cos() -> ScenarioPreset:
     """Even chirp at the long calibrated period: the drive settles into a
-    stationary equal 1-3 mixture with a large 1-3 coherence (the undamped
-    coherence of the rate set) instead of transferring."""
+    stationary equal 1-3 mixture with a large 1-3 coherence instead of
+    transferring.
+
+    The large coherence needs Gamma31 = 0 exactly.  With Gamma23 = Gamma21 +
+    Gamma31 kept, the end-of-run abs(rho13) reads 0.377 at Gamma31 = 0,
+    0.267 at 1e-5 and 0.100 at 1e-4, where Gamma31 * T is about 1.4.
+    """
     note = "stationary equal population of the two lower states"
     expected = (
         Expectation(
@@ -513,7 +518,8 @@ def _fig6cos() -> ScenarioPreset:
             "final_coherence13",
             lo=0.25,
             provenance=PROVENANCE_DERIVED,
-            note="at least half the maximum-coherence bound sqrt(r11*r33)",
+            note="at least half the maximum-coherence bound sqrt(r11*r33); the "
+            "large coherence needs Gamma31 = 0 exactly (0.100 at Gamma31 = 1e-4)",
         ),
     )
     return _fig6_preset(
@@ -602,7 +608,7 @@ CALIBRATION_PROBE_PULSES = 260
 #: Start vector of every staircase (all population in level 1), read-only.
 _STAIRCASE_START = DensityMatrix.pure(1).to_vector()
 _STAIRCASE_START.flags.writeable = False
-#: Rates of every staircase's period map.
+#: Rates of every calibration pulse map and staircase period map.
 _NO_RATES = DecoherenceRates.none()
 
 
@@ -635,17 +641,14 @@ def _single_pulse_map(
 ) -> np.ndarray:
     """Coherent superoperator of one isolated chirped pulse (9x9, rates off).
 
-    The map comes through propagate's window memo (dynamics._window_map), so
-    it is read-only.  The memo holds one map, so a later propagate with the
-    same pulse, rates and step reuses it only if no other map was built in
-    between: calibrate_fig4(quick=True) reuses it, while the full scan,
-    whose chosen duration is not the last one scanned, builds it again.
+    Integrated as the window's end map alone (dynamics._window_end_map),
+    bitwise the last fine state of the full window build but without storing
+    the window's fine states, and without touching propagate's window memo.
     """
     cfg = _strong_train(CALIBRATION_PERIOD_BASE, 1, tau)
     step = resolve_step(icfg, cfg, sys)
     w = icfg.window_sigmas * tau
-    _, m_fine = _window_map((-w, w), step, cfg, sys, DecoherenceRates.none())
-    return m_fine[-1]
+    return _window_end_map(-w, w, step, cfg, sys, _NO_RATES)
 
 
 def _staircase_stats(
@@ -729,16 +732,18 @@ def calibrate_fig4(quick: bool = False) -> CalibrationResult:
     """Scan pulse durations and repetition periods for stepwise transfer.
 
     For every pulse duration on CALIBRATION_TAU_GRID the single-pulse
-    superoperator is integrated once; a candidate period then costs one 9x9
-    one-period map and its powers by repeated doubling (about
-    log2(CALIBRATION_PROBE_PULSES) matrix products), so the period can be
-    refined finely around CALIBRATION_PERIOD_BASE.  A candidate is feasible
-    when its first yield peak exceeds 0.95 with the 95%-transfer point
-    between 98 and 120 pulses; among feasible candidates the highest peak
-    wins.  The winning duration is then polished on a local grid (+/- 0.03
-    in steps of 0.006).  quick skips the duration scan and refines the
-    period at the frozen FIG4_TAU only.  The returned numbers are
-    re-measured with a full propagation at the chosen point; the module
+    superoperator is integrated once, as its end map alone (no fine states
+    are kept); a candidate period then costs one 9x9 one-period map and its
+    powers by repeated doubling (about log2(CALIBRATION_PROBE_PULSES) matrix
+    products), so the period can be refined finely around
+    CALIBRATION_PERIOD_BASE.  A candidate is feasible when its first yield
+    peak exceeds 0.95 with the 95%-transfer point between 98 and 120 pulses;
+    among feasible candidates the highest peak wins.  The winning duration
+    is then polished on a local grid (+/- 0.03 in steps of 0.006).  quick
+    skips the duration scan and refines the period at the frozen FIG4_TAU
+    only.  The returned numbers are re-measured with a full propagation at
+    the chosen point, which builds that pulse's full window map (its steps
+    are integrated a second time, now with their history); the module
     constants FIG4_TAU / FIG4_PERIOD / FIG4_PULSES were frozen from the
     full run.
     """

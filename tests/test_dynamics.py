@@ -37,11 +37,13 @@ from combcool.dynamics import (
     _interpulse_angles,
     _map_powers,
     _scan_states,
+    _window_end_map,
     omega_max,
     resolve_step,
 )
 from combcool.scenarios import (
     CALIBRATION_PERIOD_BASE,
+    _single_pulse_map,
     _strong_system,
     _strong_train,
     get_preset,
@@ -590,6 +592,31 @@ def test_sliced_window_build_is_bitwise_the_nested_chunk_loop(n, x0):
         assert s_grid.size - 1 > 16 * _STEP_MAP_CHUNK
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2047, 2048, 2049, "tau070"])
+def test_window_end_map_is_bitwise_the_last_fine_state(n):
+    args = _window_with_steps(n)
+    end = _window_end_map(*args)
+    assert end.shape == (9, 9)
+    assert end.tobytes() == _integrate_window(*args, np.eye(9))[1][-1].tobytes()
+
+
+def test_calibration_pulse_map_holds_no_window_history():
+    """The tau = 0.70 pulse map peaks under 2 MB (a full window build with its
+    4930 fine states peaks at 4.6 MB) and leaves propagate's memo alone."""
+    sys_, icfg = _strong_system(), IntegratorConfig(interpulse_phases=True)
+    _single_pulse_map(0.21, sys_, icfg)  # first call pays for any lazy set-up
+    dynamics._window_memo.clear()
+    tracemalloc.start()
+    try:
+        pulse_map = _single_pulse_map(0.70, sys_, icfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pulse_map.shape == (9, 9)
+    assert peak <= 2_000_000
+    assert not dynamics._window_memo
+
+
 @pytest.mark.parametrize("window", ["fig4", "tau070"])
 def test_window_build_holds_under_2_mb_beyond_its_outputs(window):
     args = _preset_window("fig4") if window == "fig4" else _calibration_window(0.70)
@@ -745,17 +772,22 @@ def test_guard_failure_after_the_full_carry_warns_nothing():
 
 
 def test_propagate_holds_one_copy_of_its_trajectory():
-    """A second fig3 run, its window map built, peaks at its arrays plus three blocks."""
-    preset = get_preset("fig3")
-    run_preset(preset)
-    tracemalloc.start()
-    try:
-        traj = run_preset(preset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    arrays = traj.times.nbytes + traj.data.nbytes + traj.pulse_end_indices.nbytes
-    assert peak <= arrays + 3 * dynamics._BLOCK_BYTES
+    """A fig3 run, its window map built, peaks at 232 B per pulse (carried
+    states, pulse-end index and block bookkeeping) plus one block's budget
+    and 256 kB: 2.05 MB at 3200 pulses against a measured 1.58 MB, where the
+    sample rows alone would take 9 MB."""
+    fig3 = get_preset("fig3")
+    for n_pulses in (3200, 6400):
+        preset = replace(fig3, cfg=replace(fig3.cfg, N=n_pulses))
+        run_preset(preset)
+        tracemalloc.start()
+        try:
+            traj = run_preset(preset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.metadata["diagnostics"]["pulses_run"] == n_pulses
+        assert peak <= 232 * n_pulses + dynamics._BLOCK_BYTES + 256 * 1024, n_pulses
 
 
 def test_propagated_trajectory_pickles_as_its_arrays():

@@ -323,6 +323,22 @@ def test_cosine_chirp_produces_coherent_superposition(preset_runs):
     assert abs(final.rho13) == pytest.approx(0.3771, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "gamma31, coherence13", [(0.0, 0.377), (1e-5, 0.267), (1e-4, 0.100)]
+)
+def test_fig6cos_large_coherence13_needs_gamma31_zero(gamma31, coherence13):
+    """The end-of-run abs(rho13) of fig6cos is largest at Gamma31 = 0 and
+    fails its 0.25 expectation at 1e-4; Gamma23 = Gamma21 + Gamma31 keeps
+    the rate relation."""
+    preset = sc.get_preset("fig6cos")
+    rates = replace(preset.rates, Gamma31=gamma31, Gamma23=preset.rates.Gamma21 + gamma31)
+    traj = sc.run_preset(replace(preset, rates=rates))
+    value = sc.measure_quantity(traj, "final_coherence13")
+    assert value == pytest.approx(coherence13, abs=0.005)
+    (expectation,) = [e for e in preset.expected if e.quantity == "final_coherence13"]
+    assert (value >= expectation.lo) == (gamma31 < 1e-4)
+
+
 # --- calibration ----------------------------------------------------------------------
 
 
@@ -337,9 +353,16 @@ def test_calibration_smoke_reproduces_the_frozen_period(monkeypatch):
     # every window build goes through the dynamics module, where the counter sits
     assert not hasattr(sc, "_integrate_window")
     monkeypatch.setattr(dynamics, "_integrate_window", counting_build)
+    end_maps = []
+    end_map = sc._window_end_map
+    monkeypatch.setattr(sc, "_window_end_map", lambda *args: end_maps.append(args) or end_map(*args))
+    # a fig4 run leaves the same window key in the memo (T and N are not in it)
+    dynamics._window_memo.clear()
     result = sc.calibrate_fig4(quick=True)
-    # the final propagate reuses the pulse map of the scan through the window memo
+    # the scan integrates its one pulse as an end map, without history; the
+    # final propagate builds that pulse's full window map, the one build
     assert len(builds) == 1
+    assert len(end_maps) == 1
     assert result.tau == pytest.approx(0.198)
     assert abs(result.period - sc.FIG4_PERIOD) < 0.005
     assert result.n_pulses == 118
@@ -376,14 +399,16 @@ def test_staircase_stats_match_the_per_pulse_loop(strong_pulse_maps, tau, period
 
 
 def test_calibration_full_scan_selects_the_frozen_point(monkeypatch):
-    builds = []
-    build = dynamics._integrate_window
+    builds, end_maps = [], []
+    build, end_map = dynamics._integrate_window, sc._window_end_map
     monkeypatch.setattr(dynamics, "_integrate_window", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(sc, "_window_end_map", lambda *args: end_maps.append(args) or end_map(*args))
     dynamics._window_memo.clear()
     result = sc.calibrate_fig4()
-    # 14 durations, then the final propagate: the chosen 0.198 is not the last
-    # duration scanned (0.24), so the one-slot memo builds its map again
-    assert len(builds) == 15
+    # 14 durations, each integrated as an end map only, then the final
+    # propagate, the one full window build
+    assert len(end_maps) == 14
+    assert len(builds) == 1
     assert result.tau == pytest.approx(sc.FIG4_TAU, abs=1e-12)
     assert abs(result.period - sc.FIG4_PERIOD) < 0.005
     assert result.final_yield > 0.95
