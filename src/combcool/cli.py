@@ -859,13 +859,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_validate_rates(args) -> int:
+    raw = {name: getattr(args, name) for name in _RATE_FLAGS}
+    given = ", ".join(f"--{name}" for name, value in raw.items() if value is not None)
     if args.scenario is not None:
+        if given:
+            raise ConfigError(f"{given}: cannot be combined with --scenario (use --set rates.NAME=VALUE)")
         resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
         _, _, rates, _, _ = objects_from_tree(resolved.tree)
     else:
         try:
             rates = DecoherenceRates(
-                **{name: _finite_float(getattr(args, name), f"--{name}") for name in _RATE_FLAGS}
+                **{
+                    name: _finite_float("0" if value is None else value, f"--{name}")
+                    for name, value in raw.items()
+                }
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -1002,9 +1009,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rates.add_argument("--scenario", help="validate a preset's rate set")
     p_rates.add_argument("--set", action="append", metavar="KEY=VALUE")
-    # rates stay strings here so that _finite_float can reject NaN and inf
+    # rates stay strings here so that _finite_float can reject NaN and inf;
+    # an unset flag (None) reads 0 without --scenario and is an error with it
     for name in _RATE_FLAGS:
-        p_rates.add_argument(f"--{name}", default="0")
+        p_rates.add_argument(f"--{name}")
     p_rates.add_argument(
         "--mode", choices=("enforce", "warn", "off"), default="enforce"
     )

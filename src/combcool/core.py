@@ -338,7 +338,7 @@ def hermitian_defect(rho) -> float:
 
 
 class Trajectory:
-    """Time-ordered samples of a propagated density matrix.
+    """Time-ordered samples of a propagated density matrix, held as pulse blocks.
 
     A row is one sample: its time in times and its real 9-vector (see
     VECTOR_COMPONENTS) in data.  pulse_end_indices marks, for each
@@ -347,49 +347,52 @@ class Trajectory:
     detection) read.  metadata carries the fully resolved configuration that
     produced the trajectory plus integration diagnostics.
 
-    A trajectory is built from the arrays times and data, or, as propagate
-    builds it, from blocks: one (n_rows, ends, form) triple per run of
-    consecutive rows, where ends holds the pulse-end rows that fall in the
-    block and form() returns the block's (times, data).  A block-built
-    trajectory holds no rows.  row_blocks, pulse_ends and last_rows form
-    only the blocks they read, each time they read them; times and data,
-    and every property built on them, are formed once, on first access.
+    blocks holds one (n_rows, ends, form) triple per run of consecutive
+    rows, where ends holds the pulse-end rows that fall in the block and
+    form() returns the block's (times, data); propagate builds a trajectory
+    this way, and from_arrays wraps given arrays as one block.  row_blocks,
+    pulse_ends and last_rows form only the blocks they read, each time they
+    read them; times and data are formed once, on first access.
     """
 
-    def __init__(self, times=None, data=None, pulse_end_indices=(), metadata=None, *, blocks=None):
-        self._times, self._data = times, data
-        self.pulse_end_indices = pulse_end_indices
-        self.metadata = {} if metadata is None else metadata
+    def __init__(self, blocks, pulse_end_indices, metadata) -> None:
         self.blocks = blocks
+        self.pulse_end_indices = pulse_end_indices
+        self.metadata = metadata
+        self._times = self._data = None
         # the checks run in __post_init__, the hook perfbench's tracer wraps to count samples
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Check the rows (or the blocks' row counts) against pulse_end_indices."""
+        """Check pulse_end_indices against the blocks' row counts."""
         self.pulse_end_indices = np.asarray(self.pulse_end_indices, dtype=int)
-        if self.blocks is None:
-            self._times = np.asarray(self._times, dtype=float)
-            self._data = np.asarray(self._data, dtype=float)
-            if self._times.ndim != 1:
-                raise ValueError("times must be one-dimensional")
-            if self._data.shape != (self._times.size, 9):
-                raise ValueError(
-                    f"data shape {self._data.shape} does not match {self._times.size} samples"
-                )
-            if self._times.size > 1 and not np.all(np.diff(self._times) > 0.0):
-                raise ValueError("times must be strictly increasing")
-            self._n_samples = self._times.size
-        else:
-            self._n_samples = sum(n_rows for n_rows, _, _ in self.blocks)
+        self.n_samples = sum(n_rows for n_rows, _, _ in self.blocks)
         if self.pulse_end_indices.size and (
             self.pulse_end_indices.min() < 0
-            or self.pulse_end_indices.max() >= self._n_samples
+            or self.pulse_end_indices.max() >= self.n_samples
         ):
             raise ValueError("pulse_end_indices out of range")
 
-    def __getstate__(self) -> dict:
+    @classmethod
+    def from_arrays(cls, times, data, pulse_end_indices, metadata=None) -> "Trajectory":
+        """A trajectory of the rows times and data, held as one block."""
+        times, data = np.asarray(times, dtype=float), np.asarray(data, dtype=float)
+        if times.ndim != 1:
+            raise ValueError("times must be one-dimensional")
+        if data.shape != (times.size, 9):
+            raise ValueError(f"data shape {data.shape} does not match {times.size} samples")
+        if times.size > 1 and not np.all(np.diff(times) > 0.0):
+            raise ValueError("times must be strictly increasing")
+        ends = np.asarray(pulse_end_indices, dtype=int)
+        # clipped, so that __post_init__ rather than the indexing rejects an index out of range
+        block = (times.size, data.take(ends, axis=0, mode="clip"), lambda: (times, data))
+        traj = cls([block], ends, {} if metadata is None else metadata)
+        traj._times, traj._data = times, data
+        return traj
+
+    def __reduce__(self):
         # a pickle holds the formed arrays: the blocks' formers are local functions
-        return {**self.__dict__, "_times": self.times, "_data": self.data, "blocks": None}
+        return Trajectory.from_arrays, (self.times, self.data, self.pulse_end_indices, self.metadata)
 
     def _form_arrays(self) -> None:
         """Form times and data from all the blocks, once."""
@@ -408,34 +411,24 @@ class Trajectory:
         return self._data
 
     def row_blocks(self):
-        """Yield (times, data) of consecutive rows, from the first row to the last.
-
-        Arrays already held come out as one block; otherwise each block is
-        formed when it is reached.
-        """
-        if self._data is not None:
-            yield self._times, self._data
-            return
+        """Yield (times, data) of consecutive rows, from the first row to the
+        last, forming each block when it is reached."""
         for _, _, form in self.blocks:
             yield form()
 
     @property
     def pulse_ends(self) -> np.ndarray:
         """(pulses, 9) rows of the pulse ends, data[pulse_end_indices]."""
-        if self.blocks is None:
-            return self._data[self.pulse_end_indices]
         return np.concatenate([ends for _, ends, _ in self.blocks])
 
     def last_rows(self, m: int) -> np.ndarray:
         """The last m >= 1 rows of data, an (m, 9) view of C-ordered rows.
 
-        A block-built trajectory forms only the trailing blocks that hold them,
-        or none when the last row alone is read and it is the last pulse end.
+        Only the trailing blocks that hold them are formed, or none when the
+        last row alone is read and it is the last pulse end.
         """
-        if self._data is not None:
-            return self._data[-m:]
         ends = self.pulse_end_indices
-        if m == 1 and ends.size and ends[-1] == self._n_samples - 1:
+        if m == 1 and ends.size and ends[-1] == self.n_samples - 1:
             return self.blocks[-1][1][-1:]
         tail, held = [], 0
         for block in reversed(self.blocks):
@@ -446,44 +439,12 @@ class Trajectory:
         return _join_blocks(tail[::-1])[1][-m:]
 
     @property
-    def n_samples(self) -> int:
-        return int(self._n_samples)
-
-    @property
-    def populations(self) -> np.ndarray:
-        """(n, 3) array of populations."""
-        return self.data[:, :3]
-
-    @property
-    def rho11(self) -> np.ndarray:
-        return self.data[:, 0]
-
-    @property
     def rho22(self) -> np.ndarray:
         return self.data[:, 1]
 
     @property
     def rho33(self) -> np.ndarray:
         return self.data[:, 2]
-
-    @property
-    def rho12(self) -> np.ndarray:
-        return self.data[:, 3] + 1j * self.data[:, 4]
-
-    @property
-    def rho13(self) -> np.ndarray:
-        return self.data[:, 5] + 1j * self.data[:, 6]
-
-    @property
-    def rho23(self) -> np.ndarray:
-        return self.data[:, 7] + 1j * self.data[:, 8]
-
-    @property
-    def trace_series(self) -> np.ndarray:
-        return self.data[:, :3].sum(axis=1)
-
-    def state(self, index: int) -> DensityMatrix:
-        return DensityMatrix.from_vector(self.data[index])
 
     @property
     def final_state(self) -> DensityMatrix:

@@ -761,7 +761,7 @@ def propagate(
         "t_begin": float(first_grid[0]),
         "t_end": float((k - 1) * T + last_grid[-1]),
     }
-    return Trajectory(pulse_end_indices=pulse_end_indices, metadata=metadata, blocks=row_blocks)
+    return Trajectory(row_blocks, pulse_end_indices, metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ the corresponding expectations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -680,52 +680,37 @@ def _staircase_stats(
 
 
 def _refine_period(
-    pulse_map: np.ndarray, base: float, sys: LevelSystem, n_max: int
+    pulse_map: np.ndarray, tau: float, base: float, sys: LevelSystem, n_max: int
 ) -> CalibrationPoint:
     """Tune the period around one base value onto the two-photon resonance.
 
     The only period dependence of the staircase is through the three
     inter-pulse phase angles, which wrap every unit period of the 1-3
-    splitting; a three-stage scan (full wrap, then two local refinements)
-    resolves the resonance, whose width is roughly pi / transfer-pulse-count.
+    splitting; a three-stage scan (full wrap, then two local refinements,
+    each centred on the best period so far) resolves the resonance, whose
+    width is roughly pi / transfer-pulse-count.  The highest peak yield
+    wins, and the first scanned wins a tie.
     """
-    best: tuple[float, float, int, int] | None = None
-
-    def scan(offsets: np.ndarray) -> None:
-        nonlocal best
-        for d in offsets:
+    points: list[CalibrationPoint] = []
+    center = 0.0
+    for offsets in (
+        np.arange(0.0, 2.0 * math.pi, 0.05),
+        np.linspace(-0.05, 0.05, 101),
+        np.linspace(-0.001, 0.001, 41),
+    ):
+        for d in center + offsets:
             period = base + float(d)
-            peak, peak_pulse, transfer = _staircase_stats(
-                pulse_map, period, sys, n_max
+            points.append(
+                CalibrationPoint(tau, period, *_staircase_stats(pulse_map, period, sys, n_max))
             )
-            if best is None or peak > best[0]:
-                best = (peak, period, peak_pulse, transfer)
-
-    scan(np.arange(0.0, 2.0 * math.pi, 0.05))
-    center = best[1] - base
-    scan(center + np.linspace(-0.05, 0.05, 101))
-    center = best[1] - base
-    scan(center + np.linspace(-0.001, 0.001, 41))
-    peak, period, peak_pulse, transfer = best
-    return CalibrationPoint(
-        tau=math.nan,
-        period=period,
-        peak_yield=peak,
-        peak_pulse=peak_pulse,
-        transfer_pulse=transfer,
-    )
+        best = max(points, key=lambda point: point.peak_yield)
+        center = best.period - base
+    return best
 
 
-def _feasible(point: CalibrationPoint) -> bool:
-    return point.peak_yield > 0.95 and 98 <= point.transfer_pulse <= 120
-
-
-def _better(a: CalibrationPoint, b: CalibrationPoint | None) -> bool:
-    if b is None:
-        return True
-    if _feasible(a) != _feasible(b):
-        return _feasible(a)
-    return a.peak_yield > b.peak_yield
+def _rank(point: CalibrationPoint) -> tuple[bool, float]:
+    """Feasible (first peak above 0.95, 95% transfer in 98..120 pulses) first, then peak yield."""
+    return (point.peak_yield > 0.95 and 98 <= point.transfer_pulse <= 120, point.peak_yield)
 
 
 def calibrate_fig4(quick: bool = False) -> CalibrationResult:
@@ -738,45 +723,33 @@ def calibrate_fig4(quick: bool = False) -> CalibrationResult:
     products), so the period can be refined finely around
     CALIBRATION_PERIOD_BASE.  A candidate is feasible when its first yield
     peak exceeds 0.95 with the 95%-transfer point between 98 and 120 pulses;
-    among feasible candidates the highest peak wins.  The winning duration
-    is then polished on a local grid (+/- 0.03 in steps of 0.006).  quick
-    skips the duration scan and refines the period at the frozen FIG4_TAU
-    only.  The returned numbers are re-measured with a full propagation at
-    the chosen point, which builds that pulse's full window map (its steps
-    are integrated a second time, now with their history); the module
-    constants FIG4_TAU / FIG4_PERIOD / FIG4_PULSES were frozen from the
-    full run.
+    feasible candidates rank above the others, then the highest peak wins,
+    and the first scanned wins a tie.  The winning duration of the grid is
+    then polished on a local grid (+/- 0.03 in steps of 0.006, skipping
+    durations already scanned).  quick skips the duration scan and refines
+    the period at the frozen FIG4_TAU only.  The returned numbers are
+    re-measured with a full propagation at the chosen point, which builds
+    that pulse's full window map (its steps are integrated a second time,
+    now with their history); the module constants FIG4_TAU / FIG4_PERIOD /
+    FIG4_PULSES were frozen from the full run.
     """
-    taus = (FIG4_TAU,) if quick else CALIBRATION_TAU_GRID
     icfg = IntegratorConfig(interpulse_phases=True)
     sys = _strong_system()
-
-    scanned: list[CalibrationPoint] = []
-    best: CalibrationPoint | None = None
-
-    def consider(tau: float) -> None:
-        nonlocal best
-        pulse_map = _single_pulse_map(tau, sys, icfg)
-        point = replace(
-            _refine_period(
-                pulse_map, CALIBRATION_PERIOD_BASE, sys, CALIBRATION_PROBE_PULSES
-            ),
-            tau=tau,
-        )
-        scanned.append(point)
-        if _better(point, best):
-            best = point
-
-    for tau in taus:
-        consider(tau)
+    n_max = CALIBRATION_PROBE_PULSES
+    taus = [FIG4_TAU] if quick else list(CALIBRATION_TAU_GRID)
+    points = [
+        _refine_period(_single_pulse_map(tau, sys, icfg), tau, CALIBRATION_PERIOD_BASE, sys, n_max)
+        for tau in taus
+    ]
     if not quick:
-        seen = set(taus)
-        for tau in np.arange(best.tau - 0.03, best.tau + 0.03 + 1e-12, 0.006):
+        center = max(points, key=_rank).tau
+        for tau in np.arange(center - 0.03, center + 0.03 + 1e-12, 0.006):
             tau = round(float(tau), 6)
-            if tau <= 0.0 or tau in seen:
-                continue
-            seen.add(tau)
-            consider(tau)
+            if tau > 0.0 and tau not in taus:
+                taus.append(tau)
+                pulse_map = _single_pulse_map(tau, sys, icfg)
+                points.append(_refine_period(pulse_map, tau, CALIBRATION_PERIOD_BASE, sys, n_max))
+    best = max(points, key=_rank)
 
     cfg = _strong_train(best.period, best.peak_pulse, best.tau)
     traj = propagate(
@@ -789,5 +762,5 @@ def calibrate_fig4(quick: bool = False) -> CalibrationResult:
         final_yield=float(quantum_yield(traj)),
         transfer_pulse=transfer_pulse(traj),
         max_rho22=float(traj.metadata["diagnostics"]["max_rho22"]),
-        scanned=tuple(scanned),
+        scanned=tuple(points),
     )

@@ -420,7 +420,7 @@ def test_run_files_match_per_value_writers(tmp_path, preset_runs):
     write_csv_reference(
         ref / "timeseries.csv",
         "t,rho11,rho22,rho33,re12,im12,re13,im13,re23,im23,trace",
-        (traj.times, *traj.data.T, traj.trace_series),
+        (traj.times, *traj.data.T, traj.data[:, :3].sum(axis=1)),
     )
     for column, name in enumerate(("rho11", "rho22", "rho33")):
         write_csv_reference(
@@ -456,7 +456,7 @@ def _odd_trajectory(n_rows: int) -> Trajectory:
     step = min(997, data.size // (4 * len(SPECIAL_VALUES)))
     data.reshape(-1)[::step][: 4 * len(SPECIAL_VALUES)] = SPECIAL_VALUES * 4
     times = 5e-324 + 0.37 * np.arange(n_rows)
-    return Trajectory(times=times, data=data, pulse_end_indices=[n_rows - 1])
+    return Trajectory.from_arrays(times, data, [n_rows - 1])
 
 
 @pytest.mark.parametrize("n_rows", [_ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK + 17])
@@ -863,6 +863,16 @@ def test_validate_rates_rejects_non_finite_flag(capsys, flag, value):
     assert f"{flag}: expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize("flags", [("--Gamma31", "0.001"), ("--gamma21=0", "--Gamma23", "0")])
+def test_validate_rates_rejects_rate_flags_with_a_scenario(capsys, flags):
+    """A rate flag given with --scenario is a configuration error, not dropped."""
+    assert run_cli("validate-rates", "--scenario", "fig5", *flags) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    named = [flag.split("=")[0] for flag in flags if flag.startswith("--")]
+    assert f"{', '.join(named)}: cannot be combined with --scenario" in captured.err
+
+
 # --- calibrate verb ------------------------------------------------------------------
 
 
@@ -904,6 +914,41 @@ def test_calibrate_quick_text_is_pinned(tmp_path, capsys):
     assert (tmp_path / "calibration.csv").read_bytes() == (
         b"tau,period,peak_yield,peak_pulse,transfer_pulse\n"
         b"0.19800000000000001,14005.2539,0.97349130292458053,118,109\n"
+    )
+
+
+def test_calibrate_full_text_is_pinned(tmp_path, capsys):
+    """The full scan's printout and its 14-row calibration.csv, byte for byte.
+
+    Pins every scanned point, so the polish grid of durations and each
+    period refinement; the tie rule has its own test in test_scenarios.py.
+    Same BLAS caveat as the quick pin.
+    """
+    assert run_cli("calibrate-fig4", "--out", str(tmp_path)) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "tau = 0.19800000000000001\n"
+        "period = 14005.2539\n"
+        "n_pulses = 118\n"
+        "final_yield = 0.97349130292458363\n"
+        "transfer_pulse = 109\n"
+        "max_rho22 = 0.1212099068378298\n"
+    )
+    assert (tmp_path / "calibration.csv").read_bytes() == (
+        b"tau,period,peak_yield,peak_pulse,transfer_pulse\n"
+        b"0.14000000000000001,14005.371599999999,0.064277744967908626,74,70\n"
+        b"0.20999999999999999,14005.2613,0.90442522478117526,78,76\n"
+        b"0.34999999999999998,14005.3989,0.60309806983754266,9,9\n"
+        b"0.69999999999999996,14005.63565,0.44085349170988403,12,11\n"
+        b"0.17999999999999999,14005.24295,0.99879862053849089,226,200\n"
+        b"0.186,14005.24605,0.99909077749069763,188,163\n"
+        b"0.192,14005.249449999999,0.99277445068306147,149,139\n"
+        b"0.19800000000000001,14005.2539,0.97349130292458053,118,109\n"
+        b"0.20399999999999999,14005.2583,0.94014897149169641,95,93\n"
+        b"0.216,14005.268700000001,0.8716304053490479,63,61\n"
+        b"0.222,14005.271299999999,0.83984442493295641,54,53\n"
+        b"0.22800000000000001,14005.33915,0.87095979271042601,27,26\n"
+        b"0.23400000000000001,14005.3372,0.88873498517176108,26,25\n"
+        b"0.23999999999999999,14005.335149999999,0.89391704427963525,25,24\n"
     )
 
 
@@ -1017,9 +1062,8 @@ def test_run_with_every_emitter_never_forms_the_full_arrays(tmp_path, monkeypatc
         emit = "timeseries,summary,plotdata,spectrum"
         assert run_cli("run", "--scenario", "fig6sin", "--emit", emit, "--out", str(tmp_path)) == EXIT_OK
     traj = run_preset(get_preset("fig6sin"))
-    write_csv_reference(
-        tmp_path / "ref.csv", cli.TIMESERIES_HEADER, (traj.times, *traj.data.T, traj.trace_series)
-    )
+    columns = (traj.times, *traj.data.T, traj.data[:, :3].sum(axis=1))
+    write_csv_reference(tmp_path / "ref.csv", cli.TIMESERIES_HEADER, columns)
     assert (tmp_path / "timeseries.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -138,26 +138,36 @@ def _synthetic_trajectory():
     times = np.linspace(0.0, 4.0, 5)
     data = np.arange(45, dtype=float).reshape(5, 9) / 100.0
     ends = np.array([2, 4])
-    return Trajectory(times=times, data=data, pulse_end_indices=ends, metadata={})
+    return Trajectory.from_arrays(times, data, ends, metadata={})
 
 
 def test_trajectory_accessors():
     traj = _synthetic_trajectory()
     assert traj.n_samples == 5
-    np.testing.assert_allclose(traj.rho11, traj.data[:, 0])
-    np.testing.assert_allclose(traj.rho22, traj.data[:, 1])
-    np.testing.assert_allclose(traj.rho33, traj.data[:, 2])
-    np.testing.assert_allclose(traj.rho12, traj.data[:, 3] + 1j * traj.data[:, 4])
-    np.testing.assert_allclose(traj.rho13, traj.data[:, 5] + 1j * traj.data[:, 6])
-    np.testing.assert_allclose(traj.rho23, traj.data[:, 7] + 1j * traj.data[:, 8])
-    np.testing.assert_allclose(
-        traj.trace_series, traj.data[:, 0] + traj.data[:, 1] + traj.data[:, 2]
-    )
-    assert traj.populations.shape == (5, 3)
+    assert len(traj.blocks) == 1
+    np.testing.assert_array_equal(traj.rho22, traj.data[:, 1])
+    np.testing.assert_array_equal(traj.rho33, traj.data[:, 2])
 
 
 def test_trajectory_states():
     traj = _synthetic_trajectory()
-    state = traj.state(3)
-    np.testing.assert_allclose(state.to_vector(), traj.data[3])
+    np.testing.assert_array_equal(traj.pulse_ends, traj.data[[2, 4]])
+    np.testing.assert_array_equal(traj.last_rows(3), traj.data[2:])
     np.testing.assert_allclose(traj.final_state.to_vector(), traj.data[-1])
+
+
+@pytest.mark.parametrize(
+    "times, data, ends, message",
+    [
+        (np.zeros((5, 1)), np.zeros((5, 9)), [4], "one-dimensional"),
+        (np.arange(5.0), np.zeros((5, 3)), [4], "does not match 5 samples"),
+        (np.arange(5.0), np.zeros((4, 9)), [3], "does not match 5 samples"),
+        (np.array([0.0, 1.0, 1.0, 2.0]), np.zeros((4, 9)), [3], "strictly increasing"),
+        (np.array([0.0, 2.0, 1.0]), np.zeros((3, 9)), [2], "strictly increasing"),
+        (np.arange(5.0), np.zeros((5, 9)), [2, 5], "out of range"),
+        (np.arange(5.0), np.zeros((5, 9)), [-1, 4], "out of range"),
+    ],
+)
+def test_from_arrays_rejects_malformed_rows(times, data, ends, message):
+    with pytest.raises(ValueError, match=message):
+        Trajectory.from_arrays(times, data, ends)

@@ -311,7 +311,7 @@ def test_trace_preserved_for_random_configurations():
         sys_, cfg, rates, rho0, icfg = random_setup(rng)
         traj = quiet_propagate(rho0, cfg, sys_, rates, icfg)
         assert traj.metadata["diagnostics"]["trace_max_drift"] <= 1e-6
-        assert np.all(traj.populations >= -1e-9)
+        assert np.all(traj.data[:, :3] >= -1e-9)
 
 
 def test_populations_stay_in_unit_interval():
@@ -319,7 +319,7 @@ def test_populations_stay_in_unit_interval():
     for _ in range(5):
         sys_, cfg, rates, rho0, icfg = random_setup(rng)
         traj = quiet_propagate(rho0, cfg, sys_, rates, icfg)
-        assert np.all(traj.populations <= 1.0 + 1e-9)
+        assert np.all(traj.data[:, :3] <= 1.0 + 1e-9)
 
 
 # --- interpulse phase handling -------------------------------------------------
@@ -793,7 +793,7 @@ def test_propagate_holds_one_copy_of_its_trajectory():
 def test_propagated_trajectory_pickles_as_its_arrays():
     traj = quiet_propagate(*_desk_run(15, gap_samples=3))
     again = pickle.loads(pickle.dumps(traj))
-    assert again.blocks is None and again.metadata == traj.metadata
+    assert len(again.blocks) == 1 and again.metadata == traj.metadata
     for name in ("times", "data", "pulse_end_indices"):
         assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()
 
@@ -1024,7 +1024,7 @@ def test_yield_functions():
     data = np.zeros((10, 9))
     data[:, 2] = np.linspace(0.0, 0.9, 10)
     data[:, 0] = 1.0 - data[:, 2]
-    traj = Trajectory(times=times, data=data, pulse_end_indices=np.array([9]), metadata={})
+    traj = Trajectory.from_arrays(times, data, np.array([9]), metadata={})
     assert quantum_yield(traj) == pytest.approx(0.9)
     # trailing mean over the last 5% of samples (here: the last sample)
     assert steady_state_yield(traj) == pytest.approx(0.9)

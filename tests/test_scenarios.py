@@ -182,7 +182,7 @@ def test_transfer_pulse_on_synthetic_staircase():
     data[:, 2] = np.array([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.96, 0.97, 0.975, 0.98])
     data[:, 0] = 1.0 - data[:, 2]
     ends = np.arange(1, 11)  # ten pulses ending at samples 1..10
-    traj = Trajectory(times=times, data=data, pulse_end_indices=ends, metadata={})
+    traj = Trajectory.from_arrays(times, data, ends, metadata={})
     # final = 0.98, threshold 0.95*0.98 = 0.931: first pulse end at/above is
     # sample 7 -> pulse number 7 (1-based)
     assert sc.transfer_pulse(traj) == 7
@@ -192,9 +192,7 @@ def test_transfer_pulse_zero_yield_fallback():
     times = np.linspace(0.0, 3.0, 4)
     data = np.zeros((4, 9))
     data[:, 0] = 1.0
-    traj = Trajectory(
-        times=times, data=data, pulse_end_indices=np.array([1, 2, 3]), metadata={}
-    )
+    traj = Trajectory.from_arrays(times, data, np.array([1, 2, 3]), metadata={})
     assert sc.transfer_pulse(traj) == 3
 
 
@@ -228,8 +226,8 @@ def _array_readouts(traj) -> list[float]:
         "steady_yield": trailing(0.05),
         "max_rho22": traj.metadata["diagnostics"]["max_rho22"],
         "transfer_pulse": transfer,
-        "final_rho11": traj.rho11[-1],
-        "final_coherence13": abs(traj.rho13[-1]),
+        "final_rho11": traj.data[-1, 0],
+        "final_coherence13": abs(complex(*traj.data[-1, 5:7])),
     }
     values = [traj.rho33[-1], trailing(0.05), trailing(0.5), trailing(1.0), transfer]
     return values + [by_quantity[q] for q in sc.EXPECTATION_QUANTITIES]
@@ -251,9 +249,7 @@ def test_readouts_from_pulse_states_equal_array_readouts(monkeypatch, name):
     assert _bits(pulse_ends) == _bits(data[traj.pulse_end_indices])
     diag = traj.metadata["diagnostics"]
     assert _bits([diag["t_begin"], diag["t_end"]]) == _bits(times[[0, -1]])
-    arrays = Trajectory(
-        times=times, data=data, pulse_end_indices=traj.pulse_end_indices, metadata=traj.metadata
-    )
+    arrays = Trajectory.from_arrays(times, data, traj.pulse_end_indices, traj.metadata)
     assert _bits(_readouts(arrays)) == _bits(readouts)
     assert _bits(_array_readouts(arrays)) == _bits(readouts)
 
@@ -413,3 +409,22 @@ def test_calibration_full_scan_selects_the_frozen_point(monkeypatch):
     assert abs(result.period - sc.FIG4_PERIOD) < 0.005
     assert result.final_yield > 0.95
     assert 98 <= result.transfer_pulse <= 120
+
+
+def test_calibration_ties_keep_the_first_scanned(monkeypatch):
+    """With every candidate ranked equal, the first scanned period of the full
+    phase wrap and the first duration of the grid win."""
+    periods = []
+    monkeypatch.setattr(sc, "_staircase_stats", lambda *args: periods.append(args[1]) or (0.99, 110, 105))
+    monkeypatch.setattr(sc, "_single_pulse_map", lambda *args: np.eye(9))
+    point = sc._refine_period(np.eye(9), 0.2, 14000.0, sc._strong_system(), 260)
+    assert point == sc.CalibrationPoint(0.2, 14000.0, 0.99, 110, 105)
+    # the full wrap, then the two refinements centred on the first period
+    assert len(periods) == 126 + 101 + 41
+    assert periods[126] == 14000.0 - 0.05 and periods[-1] == 14000.0 + 0.001
+    result = sc.calibrate_fig4()
+    assert (result.tau, result.period, result.n_pulses) == (0.14, 14000.0, 110)
+    # the polish grid (+/- 0.03 in steps of 0.006) centred on the first duration
+    assert [p.tau for p in result.scanned] == [
+        0.14, 0.21, 0.35, 0.70, 0.11, 0.116, 0.122, 0.128, 0.134, 0.146, 0.152, 0.158, 0.164, 0.17
+    ]
