@@ -866,6 +866,8 @@ def cmd_validate_rates(args) -> int:
             raise ConfigError(f"{given}: cannot be combined with --scenario (use --set rates.NAME=VALUE)")
         resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
         _, _, rates, _, _ = objects_from_tree(resolved.tree)
+    elif args.set:
+        raise ConfigError("--set: needs --scenario (give the rates as flags, e.g. --Gamma31 VALUE)")
     else:
         try:
             rates = DecoherenceRates(
@@ -1010,7 +1012,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--scenario", help="validate a preset's rate set")
     p_rates.add_argument("--set", action="append", metavar="KEY=VALUE")
     # rates stay strings here so that _finite_float can reject NaN and inf;
-    # an unset flag (None) reads 0 without --scenario and is an error with it
+    # an unset flag (None) reads 0 without --scenario and is an error with it,
+    # and --set, which overrides a preset, is an error without --scenario
     for name in _RATE_FLAGS:
         p_rates.add_argument(f"--{name}")
     p_rates.add_argument(

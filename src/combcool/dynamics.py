@@ -29,12 +29,12 @@ superoperator in pulse-local time.  The propagator therefore integrates the
 9x9 real generator once per distinct window shape (the first window, and
 the interior window when there is more than one pulse) and applies the
 resulting linear maps to every pulse, in blocks of pulses within a fixed
-byte budget of fine states.  Pulse 0, on the first window, is the first
-block of one block list; every block is filled in whole pulses, and
-one cut at the row count drops the gap samples after the train's last
-pulse.  The equations are linear in rho, so this is algebraically
-identical to integrating each pulse separately; the tests pin it against
-that per-pulse integration.
+byte budget of fine states.  One loop carries, scans and records every
+block, the first of them pulse 0 alone on the first window; every block
+holds whole pulses, and the record of the last one drops the gap samples
+after the train's last pulse.  The equations are linear in rho, so this
+is algebraically identical to integrating each pulse separately; the tests
+pin it against that per-pulse integration.
 
 The window map does not depend on the pulse count, and depends on the
 period only through the clipped window span, so the last map built stays in
@@ -525,14 +525,19 @@ def _scan_states(states: np.ndarray, times, trace_tol: float, pop_tol: float):
     the times passes None, and the first error names no time.
     """
     p1, p2, p3 = states[:, 0], states[:, 1], states[:, 2]
-    drift = np.abs(p1 + p2 + p3 - 1.0)
+    # one buffer holds |trace - 1| of each state, then its lowest population
+    drift = p1 + p2
+    drift += p3
+    drift -= 1.0
+    np.abs(drift, out=drift)
     worst = int(drift.argmax())
-    if not drift[worst] <= trace_tol:
+    max_drift = float(drift[worst])
+    if not max_drift <= trace_tol:
         raise TraceDrift(
-            f"|trace - 1| = {drift[worst]:.3e} > {trace_tol:.0e}{_at(times, worst)}; "
+            f"|trace - 1| = {max_drift:.3e} > {trace_tol:.0e}{_at(times, worst)}; "
             "integration step or tolerances are inadequate"
         )
-    lowest = np.minimum(np.minimum(p1, p2), p3)
+    lowest = np.minimum(np.minimum(p1, p2, out=drift), p3, out=drift)
     low = int(lowest.argmin())
     pmin = float(lowest[low])
     if pmin < -pop_tol:
@@ -540,7 +545,7 @@ def _scan_states(states: np.ndarray, times, trace_tol: float, pop_tol: float):
             f"population {pmin:.3e} < -{pop_tol:.0e}{_at(times, low)}; "
             "integration step or tolerances are inadequate"
         )
-    return float(drift[worst]), pmin, float(p2.max())
+    return max_drift, pmin, float(p2.max())
 
 
 def propagate(
@@ -572,40 +577,45 @@ def propagate(
     run in blocks whose fine states fit _BLOCK_BYTES (72 bytes per fine
     step and pulse).  The gap-map factors are formed once per call: one set
     for the carried gap (only if the train crosses a gap or rotates) and one
-    per in-gap sample offset.  Two passes run over the same blocks:
+    per in-gap sample offset.  One loop runs over the blocks, and each pass
+    does four things in turn:
 
-    - The carry, here.  Pulse-start and pulse-end states are carried along
-      each block with the pulse-end map and the gap map, and kept per block.
-      The early-stop rule reads the block's carried ends, so the carry ends
-      with the block of the stopping pulse and keeps only the pulses that
-      run.  Each kept block is then scanned once: one matrix product with
-      the population rows of the window map gives the populations of every
-      fine state, each pulse's last one taken from its carried end.
-    - The block formation, in the returned Trajectory, wherever its rows
-      are read.  Forming a block is one matrix product of its carried
-      starts with the recorded rows of its window map, which gives the
-      recorded samples; each pulse's last row is its carried end (the
-      state the next gap map acts on), and each in-gap sample offset is one
-      gap map applied to the block's stacked pulse ends.  A block forms as
-      many rows as its row count, so the one cut at the row count of the
-      last block drops the gap samples of the train's last pulse, the last
-      of the train or the one that stopped it.
+    - The carry.  Pulse-start and pulse-end states are carried along the
+      block with the pulse-end map and the gap map, into one array.
+    - The early stop.  The rule reads the block's carried ends against the
+      end before each; pulse 0's end has none, so it never counts toward
+      the stable run.  The block is cut after the stopping pulse, and the
+      loop ends with it, so the call keeps only the pulses that run.
+    - The scan.  One matrix product with the population rows of the window
+      map gives the populations of every fine state of the kept pulses,
+      each pulse's last one taken from its carried end; the guard extremes
+      are three running values.
+    - The record.  The block's (row count, pulse ends, former) goes to the
+      returned Trajectory, which forms the rows wherever they are read.
+      Forming a block is one matrix product of its carried starts with the
+      recorded rows of its window map, which gives the recorded samples;
+      each pulse's last row is its carried end (the state the next gap map
+      acts on), and each in-gap sample offset is one gap map applied to
+      the block's stacked pulse ends.  The row count of the last block, the
+      last of the train or the one that stopped it, leaves out the gap
+      samples of its last pulse.
 
-    Pulse 0 is carried and scanned on the first window, and its recorded
-    rows are taken, before any interior map is fetched.  With a gap every
-    pulse shares the first window and its recorded rows; without one, later
-    windows start where the one before ended, and overlapping windows
-    (2w > T), whose spans differ, build each map once.  A call holds the
-    window map and one block's temporaries, about _BLOCK_BYTES; the
-    trajectory it returns holds the carried states (144 bytes per pulse),
-    the pulse-end indices and the recorded rows of each window, and no
-    sample rows.
+    With a gap every pulse shares the first window and its recorded rows;
+    without one, later windows start where the one before ended, and the
+    interior map is fetched at pulse 1, once the first map is dropped, so
+    overlapping windows (2w > T), whose spans differ, build each map once
+    and a call holds one.  Pulse k ends row_len k rows after pulse 0, with
+    row_len the interior window's recorded rows plus the gap samples.  A
+    call holds the window map and one block's temporaries, about
+    _BLOCK_BYTES; the trajectory it returns holds the carried states (144
+    bytes per pulse), the pulse-end indices and the recorded rows of each
+    window, and no sample rows.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
     error names the first failing pulse; the trace is never renormalized.
-    The scan runs inside the carry, so a run that fails a guard stops
-    carrying at the block of its first failing pulse.
+    Each block is scanned before the next is carried, so a run that fails
+    a guard stops at the block of its first failing pulse.
 
     Unless allow_unconstrained_rates is set, the rates must satisfy the
     additive dephasing relation (validate_rates in ENFORCE mode).
@@ -622,56 +632,16 @@ def propagate(
     if gap <= 1e-12 * (icfg.gap_samples + 1) * N * T:
         gap = 0.0
     angles = _interpulse_angles(T, sys) if icfg.interpulse_phases else None
-    # Pulse-local window bounds.  The first window is always [-w, w]; interior
-    # windows lose their leading edge to the previous window when 2w > T.
-    interior_span = (max(-w, w - T), w)
 
     n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
     gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
     # the factors of the carried gap, and of each in-gap sample offset
-    crossing = None
-    if N > 1 and (gap > 0.0 or angles is not None):
-        crossing = _gap_factors(gap, rates, angles)
+    crossing = _gap_factors(gap, rates, angles) if N > 1 and (gap > 0.0 or angles is not None) else None
     offsets = [
         _gap_factors(dt, rates, None if angles is None else tuple(a * dt / gap for a in angles))
         for dt in gap_dts
     ]
     tols = (icfg.trace_tol, icfg.pop_tol)
-
-    def recorded(maps, skip_first: bool):
-        """(population rows, (s_grid, recorded indices, recorded rows)) of a window map."""
-        s_grid, m_fine = maps
-        pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
-        sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)
-        if skip_first:
-            # a later window with no gap starts exactly where the previous one ended
-            sel = sel[1:]
-        return pop_rows, (s_grid, sel, m_fine[sel].reshape(-1, 9))
-
-    def carry(v, m_end, k, block):
-        """(starts, ends) of pulses k .. k + block - 1 as one array, and the next start."""
-        starts, ends = pair = np.empty((2, block, 9))
-        for b in range(block):
-            starts[b] = v
-            v = ends[b] = np.dot(m_end, v)
-            if k + b < N - 1 and crossing is not None:
-                v = _apply_free(v, crossing)
-        return pair, v
-
-    def scan(k, s_grid, pop_rows, starts, ends):
-        """Guard extremes of the carried pulses from k on, raising at the first failing one."""
-        n_block = len(starts)
-        pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
-        # the recorded pulse end is exactly the state the next gap map acts on
-        pops[:, -1] = ends[:, :3]
-        try:
-            return _scan_states(pops.reshape(-1, 3), None, *tols)
-        except IntegrationError:
-            # name the first failing pulse and its time, as a pulse-by-pulse scan would
-            abs_times = (k + np.arange(n_block))[:, None] * T + s_grid
-            for pulse_pops, pulse_times in zip(pops, abs_times):
-                _scan_states(pulse_pops, pulse_times, *tols)
-            raise
 
     def fill(k, window, pair, n_rows):
         """(times, rows) of the carried pulses from k on, the first n_rows of them.
@@ -694,72 +664,78 @@ def propagate(
             pulse_rows[:, j] = _apply_free(ends.T, factors).T
         return pulse_times.ravel()[:n_rows], pulse_rows.reshape(-1, 9)[:n_rows]
 
-    # pass 1: carry and scan the pulses to the end of the train or the early stop
     v = rho0.to_vector()
-    extremes = [(0.0, float(v[:3].min()), float(v[1]))]
-    # pulse 0 is the first block, on the first window; with a gap every later
-    # pulse shares its window and recorded rows
-    maps = _window_map((-w, w), step, cfg, sys, rates)
-    pop_rows, window = recorded(maps, False)
-    pair, v = carry(v, maps[1][-1], 0, 1)
-    extremes.append(scan(0, window[0], pop_rows, *pair))
-    blocks = [(window, pair)]
-    stopped_early = False
-    k = 1
-    if N > 1:
-        if gap == 0.0:
-            # later windows start where the one before ended; pulse 0's rows are
-            # taken, so with overlapping windows the memo drops the first map
-            # for the interior one and each map is built once
-            del maps, pop_rows
-            maps = _window_map(interior_span, step, cfg, sys, rates)
-            pop_rows, window = recorded(maps, True)
-        block = max(1, _BLOCK_BYTES // (72 * maps[0].size))
-        last_pops, stable_run = pair[1, 0, :3], 0
-        while k < N and not stopped_early:
-            pair, v = carry(v, maps[1][-1], k, min(N - k, block))
-            if icfg.early_stop_pulses:
-                # how far each pulse end's populations moved from the end before it
-                moved = np.abs(np.diff(pair[1, :, :3], axis=0, prepend=last_pops[None])).max(axis=1)
-                for b, moved_b in enumerate(moved.tolist()):
-                    stable_run = stable_run + 1 if moved_b < icfg.early_stop_tol else 0
-                    if stable_run >= icfg.early_stop_pulses:
-                        pair, stopped_early = pair[:, :b + 1], True
-                        break
-                last_pops = pair[1, -1, :3]
-            extremes.append(scan(k, window[0], pop_rows, *pair))
-            blocks.append((window, pair))
-            k += pair.shape[1]
+    drift, pmin, p2max = 0.0, float(v[:3].min()), float(v[1])
+    # pulse 0's end has no predecessor, so it never counts toward the stable run
+    last_pops, stable_run, stopped_early = np.full(3, np.nan), 0, False
+    row_blocks, k = [], 0
+    while k < N and not stopped_early:
+        if k == 0 or (k == 1 and gap == 0.0):
+            # Pulse 0 runs alone on the first window, [-w, w], which every later
+            # pulse shares when there is a gap.  Without one, later windows start
+            # at the end node of the window before (losing their leading edge
+            # when 2w > T) and do not record that node again: sel[k:] drops it.
+            # The first map is dropped before the interior one is fetched, so
+            # each map is built once and one is held.
+            m_fine = m_end = pop_rows = None
+            s_grid, m_fine = _window_map((max(-w, w - T), w) if k else (-w, w), step, cfg, sys, rates)
+            m_end = m_fine[-1]
+            pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
+            sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)[k:]
+            window = (s_grid, sel, m_fine[sel].reshape(-1, 9))
+            row_len = sel.size + n_gap_samples
+            # pulse 0's end row; each later pulse ends row_len rows after the one before
+            first_end = first_end if k else sel.size - 1
+            block = max(1, _BLOCK_BYTES // (72 * s_grid.size))
+        # carry pulse starts and ends along the block
+        starts, ends = pair = np.empty((2, 1 if k == 0 else min(N - k, block), 9))
+        for b in range(len(starts)):
+            starts[b] = v
+            v = ends[b] = np.dot(m_end, v)
+            if k + b < N - 1 and crossing is not None:
+                v = _apply_free(v, crossing)
+        if icfg.early_stop_pulses:
+            # how far each pulse end's populations moved from the end before it
+            moved = np.abs(np.diff(ends[:, :3], axis=0, prepend=last_pops[None])).max(axis=1)
+            for b, moved_b in enumerate(moved.tolist()):
+                stable_run = stable_run + 1 if moved_b < icfg.early_stop_tol else 0
+                if stable_run >= icfg.early_stop_pulses:
+                    pair, stopped_early = pair[:, :b + 1], True
+                    break
+            last_pops = pair[1, -1, :3]
+        # scan every fine state of the kept pulses; the recorded pulse end is
+        # exactly the state the next gap map acts on
+        n_block = pair.shape[1]
+        pops = (pair[0] @ pop_rows.T).reshape(n_block, -1, 3)
+        pops[:, -1] = pair[1, :, :3]
+        try:
+            d, p, q = _scan_states(pops.reshape(-1, 3), None, *tols)
+        except IntegrationError:
+            # name the first failing pulse and its time, as a pulse-by-pulse scan would
+            abs_times = (k + np.arange(n_block))[:, None] * T + s_grid
+            for pulse_pops, pulse_times in zip(pops, abs_times):
+                _scan_states(pulse_pops, pulse_times, *tols)
+            raise
+        drift, pmin, p2max = max(drift, d), min(pmin, p), max(p2max, q)
+        del pops  # before the next block's populations are formed
+        # the record: fill forms the block's rows wherever they are read, and
+        # the train's last pulse records no gap samples
+        n_rows = n_block * row_len - (n_gap_samples if stopped_early or k + n_block == N else 0)
+        row_blocks.append((n_rows, pair[1], functools.partial(fill, k, window, pair, n_rows)))
+        k += n_block
+    pulse_end_indices = np.arange(first_end, first_end + k * row_len, row_len)
 
-    # pass 2 is left to the trajectory: each block keeps its carried pulses,
-    # and fill forms its rows where they are read; the train's last pulse
-    # records no gap samples
-    row_blocks = []
-    pulse_end_indices = np.empty(k, dtype=int)
-    row = pulse = 0
-    for window, pair in blocks:
-        n_block, n_sel = pair.shape[1], window[1].size
-        row_len = n_sel + n_gap_samples
-        pulse_end_indices[pulse:pulse + n_block] = row + n_sel - 1 + row_len * np.arange(n_block)
-        n_rows = n_block * row_len - (n_gap_samples if pulse + n_block == k else 0)
-        row_blocks.append((n_rows, pair[1], functools.partial(fill, pulse, window, pair, n_rows)))
-        row += n_rows
-        pulse += n_block
-
-    (first_grid, _, _), _ = blocks[0]
-    (last_grid, _, _), _ = blocks[-1]
-    drifts, pmins, p2maxes = zip(*extremes)
     metadata = config_tree(sys, cfg, rates, icfg, rho0)
     metadata["resolved_step"] = step
     metadata["diagnostics"] = {
-        "trace_max_drift": max(drifts),
-        "min_population": min(pmins),
-        "max_rho22": max(p2maxes),
+        "trace_max_drift": drift,
+        "min_population": pmin,
+        "max_rho22": p2max,
         "pulses_run": k,
         "early_stopped": stopped_early,
         # the first row opens pulse 0's window; the last closes pulse k - 1's
-        "t_begin": float(first_grid[0]),
-        "t_end": float((k - 1) * T + last_grid[-1]),
+        "t_begin": float(-w),
+        "t_end": float((k - 1) * T + s_grid[-1]),
     }
     return Trajectory(row_blocks, pulse_end_indices, metadata)
 

@@ -873,6 +873,64 @@ def test_validate_rates_rejects_rate_flags_with_a_scenario(capsys, flags):
     assert f"{', '.join(named)}: cannot be combined with --scenario" in captured.err
 
 
+def test_validate_rates_rejects_set_without_a_scenario(capsys):
+    """--set overrides a preset; without --scenario it is an error, not dropped."""
+    assert run_cli("validate-rates", "--set", "rates.Gamma31=0.5") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: --set: needs --scenario (give the rates as flags, e.g. --Gamma31 VALUE)\n"
+    )
+
+
+# Each case exits 2 before any propagation, and its stderr names the input.
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        pytest.param(
+            ("run", "--scenario", "fig4", "--set", "integrator.interpulse_phases=maybe"), {},
+            "key 'integrator.interpulse_phases': expected true/false, got 'maybe'", id="bool",
+        ),
+        pytest.param(
+            ("run", "--scenario", "fig4", "--set", "train.N=1.5"), {},
+            "key 'train.N': expected an integer, got '1.5'", id="int",
+        ),
+        pytest.param(
+            ("run", "--scenario", "fig4", "--set", "nosuch.T=1"), {},
+            "unknown configuration key 'nosuch.T'", id="unknown_section",
+        ),
+        pytest.param(
+            ("run", "--scenario", "fig4", "--set", "train.tau=-1"), {},
+            "tau must be positive, got -1.0", id="domain_value",
+        ),
+        pytest.param(
+            ("sweep", "--scenario", "fig4", "--axis1", "train.T=linspace(a,2,3)"), {},
+            "axis 'train.T=linspace(a,2,3)': could not convert string to float: 'a'", id="linspace",
+        ),
+        pytest.param(
+            ("sweep", "--scenario", "fig4", "--axis1", "train.T=,"), {},
+            "axis 'train.T=,' lists no values", id="empty_axis",
+        ),
+        pytest.param(
+            ("sweep", "--scenario", "fig4", "--axis1", "train.T=14005,14006"), {"COMB_LAMBDA_THREADS": "0"},
+            "COMB_LAMBDA_THREADS must be at least 1, got 0", id="threads",
+        ),
+        pytest.param(
+            ("spectrum", "--scenario", "fig6sin", "--set", "train.N=1"), {},
+            "need at least 3 peaks to measure spacings, got 2; "
+            "the analyzed train has no comb structure to verify", id="spectrum_peaks",
+        ),
+    ],
+)
+def test_configuration_errors_exit_2_naming_the_input(tmp_path, monkeypatch, capsys, argv, env, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- calibrate verb ------------------------------------------------------------------
 
 

@@ -171,3 +171,23 @@ def test_trajectory_states():
 def test_from_arrays_rejects_malformed_rows(times, data, ends, message):
     with pytest.raises(ValueError, match=message):
         Trajectory.from_arrays(times, data, ends)
+
+
+# --- input checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rho, outcome",
+    [
+        (DensityMatrix.pure(2), 0.0),
+        (np.eye(2), "expected a 3x3 matrix, got shape (2, 2)"),
+        (np.zeros(9), "expected a 3x3 matrix, got shape (9,)"),
+    ],
+)
+def test_hermitian_defect_reads_a_density_matrix_and_rejects_other_shapes(rho, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as raised:
+            hermitian_defect(rho)
+        assert type(raised.value) is ValueError and str(raised.value) == outcome
+    else:
+        assert hermitian_defect(rho) == outcome

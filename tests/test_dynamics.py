@@ -756,6 +756,19 @@ def test_early_stop_carries_the_stable_run_across_blocks(monkeypatch, pulses):
     assert traj.metadata["diagnostics"]["early_stopped"]
 
 
+@pytest.mark.parametrize("pulses", [1, 4])
+def test_early_stop_run_starts_after_pulse_0(monkeypatch, pulses):
+    # rho0 is stationary, so every pulse end equals the one before it; pulse 0's
+    # end has none before it, and the run of three stable ends closes at pulse 3
+    sys_ = LevelSystem.from_transitions(3.0, 4.0)
+    cfg = PulseTrainConfig(rabi_peak=0.0, omega_L=4.0, tau=0.3, T=20.0, N=60)
+    icfg = IntegratorConfig(early_stop_pulses=3)
+    _set_block_pulses(monkeypatch, cfg, sys_, icfg, pulses)
+    traj = _assert_matches_pulse_loop(DensityMatrix.pure(1), cfg, sys_, DecoherenceRates.none(), icfg)
+    diag = traj.metadata["diagnostics"]
+    assert (diag["pulses_run"], diag["early_stopped"]) == (4, True)
+
+
 def test_fig5sp_stops_at_pulse_703(preset_runs):
     diag = preset_runs("fig5sp").metadata["diagnostics"]
     assert (diag["pulses_run"], diag["early_stopped"]) == (703, True)
@@ -1031,3 +1044,45 @@ def test_yield_functions():
     assert steady_state_yield(traj, trailing_fraction=0.5) == pytest.approx(
         np.mean(data[5:, 2])
     )
+
+
+# --- input checks ------------------------------------------------------------------
+
+
+def _ramp_trajectory():
+    return Trajectory.from_arrays(np.arange(4.0), np.zeros((4, 9)), [3])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: IntegratorConfig(step_in_pulse=0.0),
+                     "step_in_pulse must be positive when given", id="step_in_pulse"),
+        pytest.param(lambda: IntegratorConfig(sampler_stride=0),
+                     "sampler_stride must be a positive integer", id="sampler_stride"),
+        pytest.param(lambda: IntegratorConfig(sampler_stride=2.0),
+                     "sampler_stride must be a positive integer", id="sampler_stride_float"),
+        pytest.param(lambda: IntegratorConfig(window_sigmas=0.0),
+                     "window_sigmas must be positive", id="window_sigmas"),
+        pytest.param(lambda: IntegratorConfig(gap_samples=-1),
+                     "gap_samples must be a non-negative integer", id="gap_samples"),
+        pytest.param(lambda: IntegratorConfig(trace_tol=0.0), "trace_tol must be positive", id="trace_tol"),
+        pytest.param(lambda: IntegratorConfig(pop_tol=-1e-6), "pop_tol must be positive", id="pop_tol"),
+        pytest.param(lambda: IntegratorConfig(early_stop_tol=math.nan),
+                     "early_stop_tol must be positive", id="early_stop_tol"),
+        pytest.param(lambda: IntegratorConfig(early_stop_pulses=-1),
+                     "early_stop_pulses must be a non-negative integer", id="early_stop_pulses"),
+        pytest.param(lambda: IntegratorConfig(interpulse_phases=1),
+                     "interpulse_phases must be a bool", id="interpulse_phases"),
+        pytest.param(lambda: dynamics._window_steps(1.5, 1.5, 0.1),
+                     "window must have positive length", id="empty_window"),
+        pytest.param(lambda: steady_state_yield(_ramp_trajectory(), 0.0),
+                     "trailing_fraction must be in (0, 1]", id="trailing_fraction_zero"),
+        pytest.param(lambda: steady_state_yield(_ramp_trajectory(), 1.5),
+                     "trailing_fraction must be in (0, 1]", id="trailing_fraction_above_one"),
+    ],
+)
+def test_dynamics_input_checks_raise_their_message(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert type(raised.value) is ValueError and str(raised.value) == message

@@ -177,3 +177,18 @@ def test_basic_parameter_validation():
         _cfg(rabi_peak=-1.0)
     with pytest.raises(ValueError):
         _cfg(omega_L=0.0)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"E0": -1.0}, "E0 must be non-negative, got -1.0"),
+        ({"envelope_prefactor": 0.0}, "envelope_prefactor must be positive, got 0.0"),
+        ({"T": 0.0}, "T must be positive, got 0.0"),
+        ({"T": -20.0, "N": 2}, "T must be positive, got -20.0"),
+    ],
+)
+def test_train_input_checks_raise_their_message(overrides, message):
+    with pytest.raises(ValueError) as raised:
+        _cfg(**overrides)
+    assert type(raised.value) is ValueError and str(raised.value) == message

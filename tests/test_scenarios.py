@@ -428,3 +428,47 @@ def test_calibration_ties_keep_the_first_scanned(monkeypatch):
     assert [p.tau for p in result.scanned] == [
         0.14, 0.21, 0.35, 0.70, 0.11, 0.116, 0.122, 0.128, 0.134, 0.146, 0.152, 0.158, 0.164, 0.17
     ]
+
+
+# --- input checks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: sc.Expectation(quantity="final_yeld", lo=0.5),
+            f"unknown quantity 'final_yeld', expected one of {sc.EXPECTATION_QUANTITIES}",
+            id="quantity",
+        ),
+        pytest.param(
+            lambda: sc.Expectation(quantity="final_yield", target=0.5),
+            "target and tolerance must be given together",
+            id="target_without_tolerance",
+        ),
+        pytest.param(
+            lambda: sc.Expectation(quantity="final_yield", target=0.5, tolerance=0.1, hi=0.9),
+            "give either a target band or explicit bounds, not both",
+            id="band_and_bound",
+        ),
+        pytest.param(
+            lambda: sc.Expectation(quantity="final_yield"),
+            "expectation constrains nothing",
+            id="no_constraint",
+        ),
+        pytest.param(
+            lambda: sc.Expectation(quantity="final_yield", lo=0.5, provenance="guessed"),
+            "unknown provenance 'guessed'",
+            id="provenance",
+        ),
+        pytest.param(
+            lambda: sc.transfer_pulse(Trajectory.from_arrays(np.arange(3.0), np.zeros((3, 9)), [])),
+            "trajectory contains no completed pulses",
+            id="transfer_pulse_without_pulses",
+        ),
+    ],
+)
+def test_scenario_input_checks_raise_their_message(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert type(raised.value) is ValueError and str(raised.value) == message
