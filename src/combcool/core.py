@@ -19,6 +19,7 @@ numerical properties.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -338,39 +339,39 @@ def hermitian_defect(rho) -> float:
 
 
 class Trajectory:
-    """Time-ordered samples of a propagated density matrix, held as pulse blocks.
+    """Time-ordered samples of a propagated density matrix, held as its pulse ends.
 
     A row is one sample: its time in times and its real 9-vector (see
     VECTOR_COMPONENTS) in data.  pulse_end_indices marks, for each
     integrated pulse, the row taken at the end of its integration window,
     which is what per-pulse diagnostics (transfer step counts, early-stop
-    detection) read.  metadata carries the fully resolved configuration that
-    produced the trajectory plus integration diagnostics.
+    detection) read; pulse_ends holds those rows, data[pulse_end_indices].
+    metadata carries the fully resolved configuration that produced the
+    trajectory plus integration diagnostics.
 
-    blocks holds one (n_rows, ends, form) triple per run of consecutive
-    rows, where ends holds the pulse-end rows that fall in the block and
-    form() returns the block's (times, data); propagate builds a trajectory
-    this way, and from_arrays wraps given arrays as one block.  row_blocks,
-    pulse_ends and last_rows form only the blocks they read, each time they
-    read them; times and data are formed once, on first access.
+    The rows are formed by rows(pulse_ends, first), which yields (times,
+    data) of consecutive row blocks from row first to the last row.
+    propagate binds one such former per trajectory, which forms any block
+    from the stored pulse ends; from_arrays binds one that yields slices of
+    the given arrays.  row_blocks and last_rows form only the blocks they
+    read, each time they read them; times and data are formed once, on first
+    access.  A trajectory pickles as its attributes.
     """
 
-    def __init__(self, blocks, pulse_end_indices, metadata) -> None:
-        self.blocks = blocks
+    def __init__(self, pulse_ends, pulse_end_indices, metadata, rows, n_samples) -> None:
+        self.pulse_ends = pulse_ends
         self.pulse_end_indices = pulse_end_indices
         self.metadata = metadata
+        self._rows = rows
         self._times = self._data = None
-        # the checks run in __post_init__, the hook perfbench's tracer wraps to count samples
-        self.__post_init__()
+        # n_samples is set in __post_init__, the hook perfbench's tracer wraps to count samples
+        self.__post_init__(n_samples)
 
-    def __post_init__(self) -> None:
-        """Check pulse_end_indices against the blocks' row counts."""
-        self.pulse_end_indices = np.asarray(self.pulse_end_indices, dtype=int)
-        self.n_samples = sum(n_rows for n_rows, _, _ in self.blocks)
-        if self.pulse_end_indices.size and (
-            self.pulse_end_indices.min() < 0
-            or self.pulse_end_indices.max() >= self.n_samples
-        ):
+    def __post_init__(self, n_samples) -> None:
+        """Set n_samples and check pulse_end_indices against it."""
+        self.n_samples = n_samples
+        ends = self.pulse_end_indices = np.asarray(self.pulse_end_indices, dtype=int)
+        if ends.size and (ends.min() < 0 or ends.max() >= n_samples):
             raise ValueError("pulse_end_indices out of range")
 
     @classmethod
@@ -385,18 +386,14 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         ends = np.asarray(pulse_end_indices, dtype=int)
         # clipped, so that __post_init__ rather than the indexing rejects an index out of range
-        block = (times.size, data.take(ends, axis=0, mode="clip"), lambda: (times, data))
-        traj = cls([block], ends, {} if metadata is None else metadata)
+        traj = cls(data.take(ends, axis=0, mode="clip"), ends, {} if metadata is None else metadata,
+                   functools.partial(_held_rows, times, data), times.size)
         traj._times, traj._data = times, data
         return traj
 
-    def __reduce__(self):
-        # a pickle holds the formed arrays: the blocks' formers are local functions
-        return Trajectory.from_arrays, (self.times, self.data, self.pulse_end_indices, self.metadata)
-
     def _form_arrays(self) -> None:
-        """Form times and data from all the blocks, once."""
-        self._times, self._data = _join_blocks(self.blocks)
+        """Form times and data from all the row blocks, once."""
+        self._times, self._data = _join(self.row_blocks(), self.n_samples)
 
     @property
     def times(self) -> np.ndarray:
@@ -413,13 +410,7 @@ class Trajectory:
     def row_blocks(self):
         """Yield (times, data) of consecutive rows, from the first row to the
         last, forming each block when it is reached."""
-        for _, _, form in self.blocks:
-            yield form()
-
-    @property
-    def pulse_ends(self) -> np.ndarray:
-        """(pulses, 9) rows of the pulse ends, data[pulse_end_indices]."""
-        return np.concatenate([ends for _, ends, _ in self.blocks])
+        return self._rows(self.pulse_ends, 0)
 
     def last_rows(self, m: int) -> np.ndarray:
         """The last m >= 1 rows of data, an (m, 9) view of C-ordered rows.
@@ -429,14 +420,8 @@ class Trajectory:
         """
         ends = self.pulse_end_indices
         if m == 1 and ends.size and ends[-1] == self.n_samples - 1:
-            return self.blocks[-1][1][-1:]
-        tail, held = [], 0
-        for block in reversed(self.blocks):
-            if held >= m:
-                break
-            tail.append(block)
-            held += block[0]
-        return _join_blocks(tail[::-1])[1][-m:]
+            return self.pulse_ends[-1:]
+        return _join(self._rows(self.pulse_ends, self.n_samples - m), m)[1]
 
     @property
     def rho22(self) -> np.ndarray:
@@ -451,12 +436,16 @@ class Trajectory:
         return DensityMatrix.from_vector(self.last_rows(1)[0])
 
 
-def _join_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(times, data) of consecutive trajectory blocks, each formed into its slice."""
-    n_total = sum(n_rows for n_rows, _, _ in blocks)
-    times, data = np.empty(n_total), np.empty((n_total, 9))
+def _held_rows(times, data, pulse_ends, first):
+    """The row former of Trajectory.from_arrays: its given rows from row first on."""
+    yield times[first:], data[first:]
+
+
+def _join(blocks, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(times, data) of n_rows consecutive rows, each row block formed into its slice."""
+    times, data = np.empty(n_rows), np.empty((n_rows, 9))
     row = 0
-    for n_rows, _, form in blocks:
-        times[row:row + n_rows], data[row:row + n_rows] = form()
-        row += n_rows
+    for block_times, block_data in blocks:
+        times[row:row + len(block_times)], data[row:row + len(block_times)] = block_times, block_data
+        row += len(block_times)
     return times, data

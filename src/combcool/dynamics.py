@@ -29,12 +29,13 @@ superoperator in pulse-local time.  The propagator therefore integrates the
 9x9 real generator once per distinct window shape (the first window, and
 the interior window when there is more than one pulse) and applies the
 resulting linear maps to every pulse, in blocks of pulses within a fixed
-byte budget of fine states.  One loop carries, scans and records every
-block, the first of them pulse 0 alone on the first window; every block
-holds whole pulses, and the record of the last one drops the gap samples
-after the train's last pulse.  The equations are linear in rho, so this
-is algebraically identical to integrating each pulse separately; the tests
-pin it against that per-pulse integration.
+byte budget of fine states.  One loop carries and scans every block, the
+first of them pulse 0 alone on the first window, and keeps only the pulse
+ends: every pulse applies the same map to the state the gap map leaves, so
+the ends determine every sample, and the returned trajectory forms its
+rows from them, block by block, where they are read.  The equations are
+linear in rho, so this is algebraically identical to integrating each
+pulse separately; the tests pin it against that per-pulse integration.
 
 The window map does not depend on the pulse count, and depends on the
 period only through the clipped window span, so the last map built stays in
@@ -548,6 +549,52 @@ def _scan_states(states: np.ndarray, times, trace_tol: float, pop_tol: float):
     return max_drift, pmin, float(p2.max())
 
 
+def _pulse_rows(v0, windows, crossing, offsets, gap_dts, T, w, block, ends, first):
+    """Yield (times, rows) of a propagated train's row blocks from row first
+    to the train's last row.
+
+    The train's pulse ends are ends; propagate binds the rest: the initial
+    vector v0, the (times, rows) records of the recorded samples of the
+    first and the interior window (pulse-local times and window-map rows),
+    the gap-map factors of the carried gap (None if the train crosses none)
+    and of each in-gap sample offset dt of gap_dts, the period T, the window
+    half-width w and the block size.  Pulse 0 is one block on the first
+    window; later pulses run in blocks of block pulses on the interior
+    window, as in the carry.  A block's starts are v0 or the gap map of the
+    pulse ends before them, one batched map bitwise equal to the carried
+    ones.  One matrix product of the starts with the recorded rows gives
+    the recorded samples; each pulse's last row is its end (the state the
+    next gap map acts on), and each in-gap sample offset is one gap map
+    applied to the block's stacked pulse ends.  The train's last pulse
+    records no gap samples, and the first block formed leaves out its rows
+    before row first.
+    """
+    n_pulses, n_gap_samples = len(ends), len(gap_dts)
+    # the rows of pulse 0, and of each later pulse
+    lead, row_len = (window[0].size + n_gap_samples for window in (windows[0], windows[-1]))
+    k = 0 if first < lead else 1 + (first - lead) // row_len // block * block
+    skip = first - (0 if k == 0 else lead + (k - 1) * row_len)
+    while k < n_pulses:
+        hi = min(k + block, n_pulses) if k else 1
+        rec_times, rec_rows = windows[-1] if k else windows[0]
+        n_rec, block_ends = rec_times.size, ends[k:hi]
+        starts = ends[k - 1:hi - 1] if k else v0[None]
+        if k and crossing is not None:
+            starts = np.ascontiguousarray(_apply_free(starts.T, crossing).T)
+        starts_t = np.arange(k, hi)[:, None] * T
+        pulse_times = np.empty((hi - k, n_rec + n_gap_samples))
+        pulse_rows = np.empty(pulse_times.shape + (9,))
+        pulse_times[:, :n_rec] = starts_t + rec_times
+        pulse_times[:, n_rec:] = starts_t + w + gap_dts
+        np.matmul(starts, rec_rows.T, out=pulse_rows.reshape(hi - k, -1)[:, :9 * n_rec])
+        pulse_rows[:, n_rec - 1] = block_ends
+        for j, factors in enumerate(offsets, n_rec):
+            pulse_rows[:, j] = _apply_free(block_ends.T, factors).T
+        n_rows = pulse_times.size - (n_gap_samples if hi == n_pulses else 0)
+        yield pulse_times.ravel()[skip:n_rows], pulse_rows.reshape(-1, 9)[skip:n_rows]
+        k, skip = hi, 0
+
+
 def propagate(
     rho0: DensityMatrix,
     cfg: PulseTrainConfig,
@@ -581,7 +628,7 @@ def propagate(
     does four things in turn:
 
     - The carry.  Pulse-start and pulse-end states are carried along the
-      block with the pulse-end map and the gap map, into one array.
+      block with the pulse-end map and the gap map, into two arrays.
     - The early stop.  The rule reads the block's carried ends against the
       end before each; pulse 0's end has none, so it never counts toward
       the stable run.  The block is cut after the stopping pulse, and the
@@ -590,15 +637,16 @@ def propagate(
       map gives the populations of every fine state of the kept pulses,
       each pulse's last one taken from its carried end; the guard extremes
       are three running values.
-    - The record.  The block's (row count, pulse ends, former) goes to the
-      returned Trajectory, which forms the rows wherever they are read.
-      Forming a block is one matrix product of its carried starts with the
-      recorded rows of its window map, which gives the recorded samples;
-      each pulse's last row is its carried end (the state the next gap map
-      acts on), and each in-gap sample offset is one gap map applied to
-      the block's stacked pulse ends.  The row count of the last block, the
-      last of the train or the one that stopped it, leaves out the gap
-      samples of its last pulse.
+    - The record.  The kept pulse ends are appended to the carried ends;
+      the block's starts are dropped once scanned.
+
+    The returned Trajectory holds the pulse ends joined into one (K, 9)
+    array and one row former, _pulse_rows bound to rho0, the recorded
+    samples of each window, the gap-map factors, T, w and the block size.
+    It forms the rows wherever they are read, block by block on the same
+    partition as the carry, each block's starts formed again from the
+    pulse ends before them; the train's last pulse, the last of the train
+    or the one that stopped it, records no gap samples.
 
     With a gap every pulse shares the first window and its recorded rows;
     without one, later windows start where the one before ended, and the
@@ -607,9 +655,9 @@ def propagate(
     and a call holds one.  Pulse k ends row_len k rows after pulse 0, with
     row_len the interior window's recorded rows plus the gap samples.  A
     call holds the window map and one block's temporaries, about
-    _BLOCK_BYTES; the trajectory it returns holds the carried states (144
-    bytes per pulse), the pulse-end indices and the recorded rows of each
-    window, and no sample rows.
+    _BLOCK_BYTES, beside the carried ends; the trajectory it returns holds
+    the pulse ends and their row indices (80 bytes per pulse) and the
+    recorded rows of each window, and no sample rows.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
@@ -643,32 +691,11 @@ def propagate(
     ]
     tols = (icfg.trace_tol, icfg.pop_tol)
 
-    def fill(k, window, pair, n_rows):
-        """(times, rows) of the carried pulses from k on, the first n_rows of them.
-
-        Each pulse forms its recorded rows, the last of them its carried end,
-        then its gap samples; the cut at n_rows drops the gap samples of the
-        train's last pulse.
-        """
-        s_grid, sel, sel_rows = window
-        starts, ends = pair
-        n_block = len(starts)
-        starts_t = (k + np.arange(n_block))[:, None] * T
-        pulse_times = np.empty((n_block, sel.size + n_gap_samples))
-        pulse_rows = np.empty(pulse_times.shape + (9,))
-        pulse_times[:, :sel.size] = starts_t + s_grid[sel]
-        pulse_times[:, sel.size:] = starts_t + w + gap_dts
-        np.matmul(starts, sel_rows.T, out=pulse_rows.reshape(n_block, -1)[:, :9 * sel.size])
-        pulse_rows[:, sel.size - 1] = ends
-        for j, factors in enumerate(offsets, sel.size):
-            pulse_rows[:, j] = _apply_free(ends.T, factors).T
-        return pulse_times.ravel()[:n_rows], pulse_rows.reshape(-1, 9)[:n_rows]
-
-    v = rho0.to_vector()
+    v = v0 = rho0.to_vector()
     drift, pmin, p2max = 0.0, float(v[:3].min()), float(v[1])
     # pulse 0's end has no predecessor, so it never counts toward the stable run
     last_pops, stable_run, stopped_early = np.full(3, np.nan), 0, False
-    row_blocks, k = [], 0
+    windows, carried, k = [], [], 0
     while k < N and not stopped_early:
         if k == 0 or (k == 1 and gap == 0.0):
             # Pulse 0 runs alone on the first window, [-w, w], which every later
@@ -682,14 +709,15 @@ def propagate(
             m_end = m_fine[-1]
             pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
             sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)[k:]
-            window = (s_grid, sel, m_fine[sel].reshape(-1, 9))
+            windows.append((s_grid[sel], m_fine[sel].reshape(-1, 9)))
             row_len = sel.size + n_gap_samples
             # pulse 0's end row; each later pulse ends row_len rows after the one before
             first_end = first_end if k else sel.size - 1
             block = max(1, _BLOCK_BYTES // (72 * s_grid.size))
         # carry pulse starts and ends along the block
-        starts, ends = pair = np.empty((2, 1 if k == 0 else min(N - k, block), 9))
-        for b in range(len(starts)):
+        n_block = 1 if k == 0 else min(N - k, block)
+        starts, ends = np.empty((n_block, 9)), np.empty((n_block, 9))
+        for b in range(n_block):
             starts[b] = v
             v = ends[b] = np.dot(m_end, v)
             if k + b < N - 1 and crossing is not None:
@@ -700,14 +728,13 @@ def propagate(
             for b, moved_b in enumerate(moved.tolist()):
                 stable_run = stable_run + 1 if moved_b < icfg.early_stop_tol else 0
                 if stable_run >= icfg.early_stop_pulses:
-                    pair, stopped_early = pair[:, :b + 1], True
+                    n_block, stopped_early = b + 1, True
                     break
-            last_pops = pair[1, -1, :3]
+            last_pops = ends[n_block - 1, :3]
         # scan every fine state of the kept pulses; the recorded pulse end is
         # exactly the state the next gap map acts on
-        n_block = pair.shape[1]
-        pops = (pair[0] @ pop_rows.T).reshape(n_block, -1, 3)
-        pops[:, -1] = pair[1, :, :3]
+        pops = (starts[:n_block] @ pop_rows.T).reshape(n_block, -1, 3)
+        pops[:, -1] = ends[:n_block, :3]
         try:
             d, p, q = _scan_states(pops.reshape(-1, 3), None, *tols)
         except IntegrationError:
@@ -718,12 +745,10 @@ def propagate(
             raise
         drift, pmin, p2max = max(drift, d), min(pmin, p), max(p2max, q)
         del pops  # before the next block's populations are formed
-        # the record: fill forms the block's rows wherever they are read, and
-        # the train's last pulse records no gap samples
-        n_rows = n_block * row_len - (n_gap_samples if stopped_early or k + n_block == N else 0)
-        row_blocks.append((n_rows, pair[1], functools.partial(fill, k, window, pair, n_rows)))
+        carried.append(ends[:n_block])
         k += n_block
     pulse_end_indices = np.arange(first_end, first_end + k * row_len, row_len)
+    rows = functools.partial(_pulse_rows, v0, windows, crossing, offsets, gap_dts, T, w, block)
 
     metadata = config_tree(sys, cfg, rates, icfg, rho0)
     metadata["resolved_step"] = step
@@ -737,7 +762,7 @@ def propagate(
         "t_begin": float(-w),
         "t_end": float((k - 1) * T + s_grid[-1]),
     }
-    return Trajectory(row_blocks, pulse_end_indices, metadata)
+    return Trajectory(np.concatenate(carried), pulse_end_indices, metadata, rows, int(pulse_end_indices[-1]) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -581,17 +581,17 @@ def transfer_pulse(traj: Trajectory) -> int:
     """First pulse (1-based) after which the target population exceeds 95%
     of its final value.
 
-    Falls back to the pulse count when the final target population is zero
-    (nothing was ever transferred).
+    Falls back to the pulse count when the final target population is not
+    positive (nothing was transferred, to rounding).
     """
     ends = traj.pulse_ends[:, 2]
     if ends.size == 0:
         raise ValueError("trajectory contains no completed pulses")
     final = ends[-1]
-    hits = np.nonzero(ends > 0.95 * final)[0]
-    if hits.size == 0:
+    if not final > 0.0:
         return int(ends.size)
-    return int(hits[0]) + 1
+    # the last end always qualifies
+    return int(np.nonzero(ends > 0.95 * final)[0][0]) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,6 @@ def _synthetic_trajectory():
 def test_trajectory_accessors():
     traj = _synthetic_trajectory()
     assert traj.n_samples == 5
-    assert len(traj.blocks) == 1
     np.testing.assert_array_equal(traj.rho22, traj.data[:, 1])
     np.testing.assert_array_equal(traj.rho33, traj.data[:, 2])
 

@@ -785,10 +785,10 @@ def test_guard_failure_after_the_full_carry_warns_nothing():
 
 
 def test_propagate_holds_one_copy_of_its_trajectory():
-    """A fig3 run, its window map built, peaks at 232 B per pulse (carried
-    states, pulse-end index and block bookkeeping) plus one block's budget
-    and 256 kB: 2.05 MB at 3200 pulses against a measured 1.58 MB, where the
-    sample rows alone would take 9 MB."""
+    """A fig3 run, its window map built, peaks at 232 B per pulse (the
+    blocks' pulse ends, their joined copy and the pulse-end index) plus one
+    block's budget and 256 kB: 2.05 MB at 3200 pulses against a measured
+    1.14 MB, where the sample rows alone would take 9 MB."""
     fig3 = get_preset("fig3")
     for n_pulses in (3200, 6400):
         preset = replace(fig3, cfg=replace(fig3.cfg, N=n_pulses))
@@ -803,11 +803,48 @@ def test_propagate_holds_one_copy_of_its_trajectory():
         assert peak <= 232 * n_pulses + dynamics._BLOCK_BYTES + 256 * 1024, n_pulses
 
 
-def test_propagated_trajectory_pickles_as_its_arrays():
+@pytest.mark.parametrize("period", [25.0, 3.3])
+def test_last_rows_are_the_trailing_rows_of_data(monkeypatch, period):
+    """Every tail, from inside pulse 0's gap samples to the last row alone,
+    forms from the block that holds its first row; with 3.3 the windows
+    leave no gap, so the interior window differs from the first."""
+    run = _desk_run(7, period, gap_samples=3)
+    _set_block_pulses(monkeypatch, run[1], run[2], run[4], 2)
+    traj = quiet_propagate(*run)
+    data = traj.data
+    for m in range(1, traj.n_samples + 1):
+        assert traj.last_rows(m).tobytes() == data[-m:].tobytes(), m
+
+
+def test_trajectory_holds_its_pulse_ends_and_no_block_bookkeeping():
+    """A second fig3 run's trajectory holds its (K, 9) pulse ends and their
+    row indices, 80 B per pulse, beside one row former: at most 100 B per
+    pulse added from 16,000 to 32,000 pulses (per-block records took 220)."""
+    fig3 = get_preset("fig3")
+    run_preset(replace(fig3, cfg=replace(fig3.cfg, N=1)))  # builds the window map both runs reuse
+    held = []
+    for n_pulses in (16_000, 32_000):
+        preset = replace(fig3, cfg=replace(fig3.cfg, N=n_pulses))
+        tracemalloc.start()
+        try:
+            traj = run_preset(preset)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert traj.metadata["diagnostics"]["pulses_run"] == n_pulses
+    assert held[1] - held[0] <= 100 * 16_000
+
+
+@pytest.mark.parametrize("form", ["propagated", "from_arrays"])
+def test_trajectory_round_trips_through_pickle(form):
+    """A trajectory pickles natively: a propagated one with its pulse ends and
+    row former, before its rows are formed, and one from arrays with them."""
     traj = quiet_propagate(*_desk_run(15, gap_samples=3))
+    if form == "from_arrays":
+        traj = Trajectory.from_arrays(traj.times, traj.data, traj.pulse_end_indices, traj.metadata)
     again = pickle.loads(pickle.dumps(traj))
-    assert len(again.blocks) == 1 and again.metadata == traj.metadata
-    for name in ("times", "data", "pulse_end_indices"):
+    assert again.metadata == traj.metadata and again.n_samples == traj.n_samples
+    for name in ("times", "data", "pulse_end_indices", "pulse_ends"):
         assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()
 
 

@@ -196,6 +196,16 @@ def test_transfer_pulse_zero_yield_fallback():
     assert sc.transfer_pulse(traj) == 3
 
 
+def test_transfer_pulse_negative_final_yield_falls_back_to_the_pulse_count():
+    """A final target population below zero, as rounding leaves on an untransferred
+    train, counts as nothing transferred: every earlier end exceeds 95% of it."""
+    data = np.zeros((4, 9))
+    data[:, 2] = [0.0, 0.1, 0.0, -1e-11]
+    data[:, 0] = 1.0 - data[:, 2]
+    traj = Trajectory.from_arrays(np.arange(4.0), data, np.arange(4), metadata={})
+    assert sc.transfer_pulse(traj) == 4
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).view(np.uint64).tobytes()
 
@@ -220,7 +230,7 @@ def _array_readouts(traj) -> list[float]:
 
     ends = traj.rho33[traj.pulse_end_indices]
     hits = np.nonzero(ends > 0.95 * ends[-1])[0]
-    transfer = int(hits[0]) + 1 if hits.size else ends.size
+    transfer = int(hits[0]) + 1 if ends[-1] > 0.0 else ends.size
     by_quantity = {
         "final_yield": traj.rho33[-1],
         "steady_yield": trailing(0.05),
