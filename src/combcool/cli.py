@@ -5,15 +5,18 @@ Verbs
 - ``run``             execute one scenario, write CSV/summary/plot data
 - ``sweep``           grid-scan one or two dotted parameters, write sweep.csv
 - ``spectrum``        synthesize a 32-pulse surrogate train, verify its comb structure
-- ``validate-rates``  check the additive dephasing relation
+- ``validate-rates``  check a scenario's rates against the additive dephasing relation
 - ``calibrate-fig4``  rerun the strong-drive (tau, period) calibration scan
 - ``list-scenarios``  enumerate the named presets
 
 A scenario is either a preset name (``fig3`` ... ``fig6std``) or the path of
 a flat ``key = value`` configuration file as written by ``run
 --dump-config``; ``--set key=value`` overrides individual fields of either.
-Exit codes: 0 success, 2 configuration error, 3 integration failure, 4 rate
-relation violated under enforcement.  All emitted files are UTF-8 with LF
+``run``, ``sweep`` and ``validate-rates`` apply ``--rates-mode`` (a
+RateCheckMode value) through core.validate_rates, the one place the
+rate-relation policy lives.  Exit codes: 0 success, 2 configuration error,
+3 integration failure, 4 rate relation violated under enforcement.  All
+emitted files are UTF-8 with LF
 line endings; CSV numbers carry 17 significant digits so they round-trip
 64-bit floats losslessly.
 """
@@ -40,7 +43,6 @@ from .core import (
     LevelSystem,
     RateCheckMode,
     RateRelationViolation,
-    RateReport,
     Trajectory,
     config_tree,
     validate_rates,
@@ -72,8 +74,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_RATES = 4
-
-_RATE_FLAGS = ("gamma21", "gamma23", "Gamma21", "Gamma31", "Gamma23")
 
 EMIT_CHOICES = ("timeseries", "summary", "spectrum", "plotdata")
 DEFAULT_EMIT = ("timeseries", "summary")
@@ -124,6 +124,7 @@ def config_lines(tree: dict) -> list[str]:
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat `key = value` lines with # comments -> {dotted key: raw value}."""
     flat: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,7 +132,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        flat[key.strip()] = value.strip()
+        key = key.strip()
+        if key in flat:
+            raise ConfigError(f"config line {lineno}: key {key!r} is already set on line {first_line[key]}")
+        flat[key], first_line[key] = value.strip(), lineno
     return flat
 
 
@@ -158,7 +162,7 @@ def _coerce(raw: str, current, dotted: str):
 
 
 def _finite_float(raw: str, what: str) -> float:
-    """Parse a finite float; what names the key or flag in the error."""
+    """Parse a finite float; what names the key in the error."""
     try:
         value = float(raw)
     except ValueError:
@@ -281,21 +285,6 @@ def resolve_scenario(scenario: str, overrides: tuple[str, ...]) -> ResolvedRun:
             raise ConfigError(f"override {override!r} is not of the form key=value")
         set_config_key(tree, key.strip(), value)
     return ResolvedRun(label=label, preset=preset, tree=tree)
-
-
-def _check_rates(report: RateReport, rates_mode: str, where: str = "") -> None:
-    """Apply the chosen rate-relation policy to an OFF-mode validate_rates report.
-
-    The only place that warns about the relation: enforce raises, warn
-    prints one warning line to stderr, prefixed with where (a sweep point's
-    assignments), off stays silent.
-    """
-    if report.within_tolerance:
-        return
-    if rates_mode == "enforce":
-        raise RateRelationViolation(report.message)
-    if rates_mode == "warn":
-        print(f"warning: {where}{report.message}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +645,10 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     sys_, cfg, rates, icfg, rho0 = runnable_objects(resolved.tree)
-    _check_rates(validate_rates(rates, RateCheckMode.OFF), args.rates_mode)
+    validate_rates(rates, args.rates_mode)
     # the spectrum needs only the train, so an oversized one fails before any work
     spec = _surrogate_spectrum(cfg)[1] if "spectrum" in emit else None
-    traj = propagate(
-        rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=args.rates_mode != "enforce"
-    )
+    traj = propagate(rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True)
 
     out = Path(args.out)
     if "timeseries" in emit:
@@ -751,11 +738,8 @@ def _sweep_point(payload) -> tuple[float, float, str]:
         for key, raw in assignments:
             set_config_key(point_tree, key, raw)
         sys_, cfg, rates, icfg, rho0 = runnable_objects(point_tree)
-        where = " ".join(map("=".join, assignments)) + ": "
-        _check_rates(validate_rates(rates, RateCheckMode.OFF), rates_mode, where)
-        traj = propagate(
-            rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=rates_mode != "enforce"
-        )
+        validate_rates(rates, rates_mode, " ".join(map("=".join, assignments)) + ": ")
+        traj = propagate(rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True)
         drift = traj.metadata["diagnostics"]["trace_max_drift"]
         return measure_quantity(traj, objective), float(drift), ""
     except Exception as exc:  # recorded per row, not fatal to the sweep
@@ -787,11 +771,13 @@ def cmd_sweep(args) -> int:
     if total > SWEEP_CAP:
         raise ConfigError(f"sweep grid has {total} points, outside 1..{SWEEP_CAP}")
 
-    # Fail fast on unknown axis keys before launching any work; bad values
-    # are recorded per point, whichever point they fall on.
-    for axis in axes:
-        for key in axis.keys:
-            _leaf_node(resolved.tree, key)
+    # Fail fast on unknown or repeated axis keys before launching any work;
+    # bad values are recorded per point, whichever point they fall on.
+    keys = [key for axis in axes for key in axis.keys]
+    for key in keys:
+        _leaf_node(resolved.tree, key)
+        if keys.count(key) > 1:
+            raise ConfigError(f"sweep key {key!r} is given more than once")
 
     grid = list(itertools.product(*(axis.values for axis in axes)))
     payloads = [
@@ -859,29 +845,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_validate_rates(args) -> int:
-    raw = {name: getattr(args, name) for name in _RATE_FLAGS}
-    given = ", ".join(f"--{name}" for name, value in raw.items() if value is not None)
-    if args.scenario is not None:
-        if given:
-            raise ConfigError(f"{given}: cannot be combined with --scenario (use --set rates.NAME=VALUE)")
-        resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
-        _, _, rates, _, _ = objects_from_tree(resolved.tree)
-    elif args.set:
-        raise ConfigError("--set: needs --scenario (give the rates as flags, e.g. --Gamma31 VALUE)")
-    else:
-        try:
-            rates = DecoherenceRates(
-                **{
-                    name: _finite_float("0" if value is None else value, f"--{name}")
-                    for name, value in raw.items()
-                }
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
+    _, _, rates, _, _ = objects_from_tree(resolved.tree)
     report = validate_rates(rates, RateCheckMode.OFF)
     print(f"deviation = {_g(report.deviation)}")
     print(f"verdict = {'valid' if report.within_tolerance else 'violation'}")
-    _check_rates(report, args.mode)
+    validate_rates(rates, args.rates_mode)
     return EXIT_OK
 
 
@@ -944,6 +913,15 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_rates_mode(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--rates-mode",
+        choices=[mode.value for mode in RateCheckMode],
+        default=RateCheckMode.ENFORCE.value,
+        help="policy for the additive dephasing relation (a sweep applies it per point)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combcool",
@@ -963,12 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TARGETS",
         help=f"comma-separated subset of {EMIT_CHOICES}; repeatable",
     )
-    p_run.add_argument(
-        "--rates-mode",
-        choices=("enforce", "warn", "off"),
-        default="enforce",
-        help="policy for the additive dephasing relation",
-    )
+    _add_rates_mode(p_run)
     p_run.add_argument(
         "--dump-config",
         metavar="PATH",
@@ -988,12 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--objective", choices=OBJECTIVES, default="final_yield"
     )
-    p_sweep.add_argument(
-        "--rates-mode",
-        choices=("enforce", "warn", "off"),
-        default="enforce",
-        help="policy for the additive dephasing relation, applied per point",
-    )
+    _add_rates_mode(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_spec = sub.add_parser(
@@ -1007,18 +975,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_rates = sub.add_parser(
-        "validate-rates", help="check the additive dephasing relation"
+        "validate-rates", help="check a scenario's rates against the additive dephasing relation"
     )
-    p_rates.add_argument("--scenario", help="validate a preset's rate set")
-    p_rates.add_argument("--set", action="append", metavar="KEY=VALUE")
-    # rates stay strings here so that _finite_float can reject NaN and inf;
-    # an unset flag (None) reads 0 without --scenario and is an error with it,
-    # and --set, which overrides a preset, is an error without --scenario
-    for name in _RATE_FLAGS:
-        p_rates.add_argument(f"--{name}")
-    p_rates.add_argument(
-        "--mode", choices=("enforce", "warn", "off"), default="enforce"
-    )
+    _add_scenario_options(p_rates)
+    _add_rates_mode(p_rates)
     p_rates.set_defaults(func=cmd_validate_rates)
 
     p_cal = sub.add_parser(

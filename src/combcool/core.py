@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -166,6 +167,7 @@ class RateCheckMode(enum.Enum):
     """What to do when the additive dephasing relation is violated."""
 
     ENFORCE = "enforce"
+    WARN = "warn"
     OFF = "off"
 
 
@@ -179,16 +181,19 @@ class RateReport:
 
 
 def validate_rates(
-    rates: DecoherenceRates, mode: RateCheckMode | str = RateCheckMode.ENFORCE
+    rates: DecoherenceRates, mode: RateCheckMode | str = RateCheckMode.ENFORCE, where: str = ""
 ) -> RateReport:
     """Check the additive dephasing relation Gamma23 = Gamma21 + Gamma31.
 
     For dephasing driven by elastic collisions that leave the 1-3 coherence
     untouched, the three collisional rates are not independent: the 2-3 rate
-    must equal the sum of the other two.  ENFORCE raises
-    RateRelationViolation on violation; OFF only records the deviation.
+    must equal the sum of the other two.  The one place the rate-relation
+    policy is applied: on violation ENFORCE raises RateRelationViolation,
+    WARN prints one line "warning: {where}{message}" to stderr (where names
+    the caller's context, such as a sweep point's assignments) and OFF stays
+    silent.  Every call that does not raise returns the same report.
     """
-    mode = RateCheckMode(mode) if not isinstance(mode, RateCheckMode) else mode
+    mode = RateCheckMode(mode)
     deviation = rates.relation_deviation()
     ok = abs(deviation) <= RATE_RELATION_TOL
     if ok:
@@ -202,6 +207,8 @@ def validate_rates(
         )
         if mode is RateCheckMode.ENFORCE:
             raise RateRelationViolation(message)
+        if mode is RateCheckMode.WARN:
+            print(f"warning: {where}{message}", file=sys.stderr)
     return RateReport(deviation=deviation, within_tolerance=ok, message=message)
 
 

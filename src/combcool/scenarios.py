@@ -246,7 +246,10 @@ def measure_quantity(traj: Trajectory, quantity: str) -> float:
     if quantity == "max_rho22":
         return float(traj.metadata["diagnostics"]["max_rho22"])
     if quantity == "transfer_pulse":
-        return float(transfer_pulse(traj))
+        # NaN, which fails every band, when nothing was transferred: then
+        # transfer_pulse falls back to the pulse count, which measures nothing
+        pulse = transfer_pulse(traj)
+        return float(pulse) if traj.pulse_ends[-1, 2] > 0.0 else math.nan
     if quantity == "final_rho11":
         return traj.final_state.rho11
     if quantity == "final_coherence13":

@@ -72,4 +72,4 @@ def test_every_module_export_resolves(module):
 
 
 def test_rate_check_modes_are_enforce_and_off():
-    assert [mode.value for mode in combcool.RateCheckMode] == ["enforce", "off"]
+    assert [mode.value for mode in combcool.RateCheckMode] == ["enforce", "warn", "off"]

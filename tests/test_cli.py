@@ -105,6 +105,22 @@ def test_config_text_supports_comments_and_blank_lines():
         parse_config_text("not a key value line\n")
 
 
+def test_repeated_config_file_key_is_a_config_error(tmp_path, capsys):
+    """A key set twice in a config file exits 2 naming it and both lines, instead
+    of the last line winning."""
+    cfg = tmp_path / "fig4.cfg"
+    assert run_cli("run", "--scenario", "fig4", "--dump-config", str(cfg)) == EXIT_OK
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    first = lines.index("train.N = 118") + 1
+    cfg.write_text("\n".join([*lines, "train.N = 2", "train.N = 3"]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"configuration error: config line {len(lines) + 1}: key 'train.N' is already set on line {first}\n"
+    )
+    assert not out.exists()
+
+
 def test_unknown_override_key_is_a_config_error(tmp_path, capsys):
     code = run_cli(
         "run", "--scenario", "fig4", "--set", "integrator.bogus=1",
@@ -227,6 +243,22 @@ def test_run_writes_timeseries_and_summary(tmp_path):
     assert "trace_max_drift = " in summary
     assert "# resolved configuration" in summary
     assert "train.N = 10" in summary
+
+
+def test_transfer_pulse_expectation_fails_a_run_that_transferred_nothing(tmp_path):
+    """fig4 at this amplitude and period ends with rho33 = -1.2e-11: the
+    pulse-count fallback still reads transfer_pulse = 118, but the expectation
+    has nothing to measure and fails instead of passing on [98, 120]."""
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--scenario", "fig4", "--set", "train.modulation.amplitude=5.957787847109637",
+        "--set", "train.T=14006.132900177161", "--emit", "summary", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert "yield = -1.1678280775470771e-11" in summary
+    assert "transfer_pulse = 118" in summary
+    assert "expect.transfer_pulse = FAIL (measured nan, expected in [98, 120], reference)" in summary
 
 
 def test_noop_override_keeps_summary_byte_identical(tmp_path):
@@ -813,36 +845,40 @@ def test_guard_failure_on_a_long_train_stops_the_carry_at_its_block(tmp_path, ca
 # --- validate-rates verb ------------------------------------------------------------
 
 
+def _argparse_exit(capsys, *argv) -> str:
+    """Run argv, which argparse must refuse with exit 2; its stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 def test_validate_rates_verb(capsys):
-    assert run_cli("validate-rates", "--Gamma21", "0.001", "--Gamma23", "0.001") == EXIT_OK
-    assert (
-        run_cli(
-            "validate-rates", "--Gamma21", "0.001", "--Gamma31", "0.001",
-            "--Gamma23", "0.002",
-        )
-        == EXIT_OK
-    )
-    code = run_cli(
-        "validate-rates", "--Gamma21", "0.001", "--Gamma31", "0.001",
-        "--Gamma23", "0.001",
-    )
-    assert code == EXIT_RATES
-    out = capsys.readouterr().out
-    assert "deviation" in out
+    """The verdict of a scenario's rates, overridden with --set."""
+    for gamma31, code, out in (
+        ("0", EXIT_OK, "deviation = 0\nverdict = valid\n"),
+        ("0.001", EXIT_RATES, "deviation = -0.001\nverdict = violation\n"),
+    ):
+        assert run_cli("validate-rates", "--scenario", "fig5", "--set", f"rates.Gamma31={gamma31}") == code
+        assert capsys.readouterr().out == out
 
 
 def test_validate_rates_verb_scenario_and_modes(capsys):
+    """--rates-mode is applied after the verdict: the same stdout in every mode."""
     assert run_cli("validate-rates", "--scenario", "fig6cos") == EXIT_OK
-    code = run_cli(
-        "validate-rates", "--Gamma21", "0.001", "--Gamma31", "0.001",
-        "--Gamma23", "0.001", "--mode", "warn",
-    )
-    assert code == EXIT_OK
-    assert "warning" in capsys.readouterr().err
-    assert (
-        run_cli("validate-rates", "--scenario", "fig5", "--set", "rates.Gamma31=0.5")
-        == EXIT_RATES
-    )
+    violation = "Gamma23 - (Gamma21 + Gamma31) = -0.001; the additive dephasing relation is violated"
+    expected = {
+        "enforce": (EXIT_RATES, f"rate relation violated: {violation}\n"),
+        "warn": (EXIT_OK, f"warning: {violation}\n"),
+        "off": (EXIT_OK, ""),
+    }
+    capsys.readouterr()
+    for mode, (code, err) in expected.items():
+        argv = ("validate-rates", "--scenario", "fig5", "--set", "rates.Gamma31=0.001", "--rates-mode", mode)
+        assert run_cli(*argv) == code
+        assert capsys.readouterr() == ("deviation = -0.001\nverdict = violation\n", err)
 
 
 @pytest.mark.parametrize(
@@ -857,30 +893,42 @@ def test_validate_rates_verb_scenario_and_modes(capsys):
     ],
 )
 def test_validate_rates_rejects_non_finite_flag(capsys, flag, value):
-    assert run_cli("validate-rates", f"{flag}={value}") == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "verdict" not in captured.out
-    assert f"{flag}: expected a finite number" in captured.err
+    """A removed rate flag exits 2 as an unrecognized argument; the same value
+    given as --set rates.NAME exits 2 naming the key.  Neither prints a verdict."""
+    err = _argparse_exit(capsys, "validate-rates", "--scenario", "fig5", f"{flag}={value}")
+    assert f"unrecognized arguments: {flag}={value}" in err
+    key = f"rates.{flag[2:]}"
+    assert run_cli("validate-rates", "--scenario", "fig5", "--set", f"{key}={value}") == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"configuration error: key {key!r}: expected a finite number, got {value!r}\n"
+    )
 
 
 @pytest.mark.parametrize("flags", [("--Gamma31", "0.001"), ("--gamma21=0", "--Gamma23", "0")])
 def test_validate_rates_rejects_rate_flags_with_a_scenario(capsys, flags):
-    """A rate flag given with --scenario is a configuration error, not dropped."""
-    assert run_cli("validate-rates", "--scenario", "fig5", *flags) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "verdict" not in captured.out
-    named = [flag.split("=")[0] for flag in flags if flag.startswith("--")]
-    assert f"{', '.join(named)}: cannot be combined with --scenario" in captured.err
+    """The rate flags are gone: given with --scenario they exit 2, not dropped."""
+    err = _argparse_exit(capsys, "validate-rates", "--scenario", "fig5", *flags)
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 def test_validate_rates_rejects_set_without_a_scenario(capsys):
-    """--set overrides a preset; without --scenario it is an error, not dropped."""
-    assert run_cli("validate-rates", "--set", "rates.Gamma31=0.5") == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "configuration error: --set: needs --scenario (give the rates as flags, e.g. --Gamma31 VALUE)\n"
-    )
+    """--scenario is required, so --set alone exits 2 and is not dropped."""
+    err = _argparse_exit(capsys, "validate-rates", "--set", "rates.Gamma31=0.5")
+    assert "the following arguments are required: --scenario" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param((), "the following arguments are required: --scenario", id="no_scenario"),
+        pytest.param(("--scenario", "fig5", "--mode", "warn"), "unrecognized arguments: --mode warn", id="mode"),
+        pytest.param(("--Gamma31", "0.001"), "the following arguments are required: --scenario", id="rate_flag"),
+    ],
+)
+def test_validate_rates_old_spellings_exit_2(capsys, argv, message):
+    """validate-rates reads rates only through --scenario/--set and its
+    policy only from --rates-mode, like run and sweep."""
+    assert message in _argparse_exit(capsys, "validate-rates", *argv)
 
 
 # Each case exits 2 before any propagation, and its stderr names the input.
@@ -910,6 +958,19 @@ def test_validate_rates_rejects_set_without_a_scenario(capsys):
         pytest.param(
             ("sweep", "--scenario", "fig4", "--axis1", "train.T=,"), {},
             "axis 'train.T=,' lists no values", id="empty_axis",
+        ),
+        # a key swept twice would run every point at its last value under its first value's label
+        pytest.param(
+            ("sweep", "--scenario", "fig4", "--axis1", "train.T=14005,14006", "--axis2", "train.T=14007"), {},
+            "sweep key 'train.T' is given more than once", id="sweep_key_across_axes",
+        ),
+        pytest.param(
+            ("sweep", "--scenario", "fig4", "--axis1", "train.T+train.T=14005,14006"), {},
+            "sweep key 'train.T' is given more than once", id="sweep_key_within_an_axis",
+        ),
+        pytest.param(
+            ("sweep", "--scenario", "fig4", "--axis1", "train.tau=0.2", "--axis2", "train.T+train.tau=14005"), {},
+            "sweep key 'train.tau' is given more than once", id="sweep_key_joined",
         ),
         pytest.param(
             ("sweep", "--scenario", "fig4", "--axis1", "train.T=14005,14006"), {"COMB_LAMBDA_THREADS": "0"},

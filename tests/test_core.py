@@ -8,9 +8,12 @@ from combcool import (
     DensityMatrix,
     FrequencyUnit,
     LevelSystem,
+    RateCheckMode,
+    RateRelationViolation,
     Trajectory,
     hermitian_defect,
     trace,
+    validate_rates,
 )
 from combcool.core import LADDER_TOL, VECTOR_COMPONENTS
 
@@ -77,6 +80,24 @@ def test_rate_relation_examples():
     assert ok1.relation_deviation() == pytest.approx(0.0, abs=1e-15)
     assert ok2.relation_deviation() == pytest.approx(0.0, abs=1e-15)
     assert bad.relation_deviation() == pytest.approx(-0.001)
+
+
+@pytest.mark.parametrize("mode", list(RateCheckMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("violating", [False, True], ids=["valid", "violating"])
+def test_validate_rates_applies_its_mode_in_one_place(capsys, mode, violating):
+    """Only ENFORCE on violating rates raises, only WARN on violating rates
+    writes stderr, and every call that does not raise returns the same report."""
+    rates = DecoherenceRates(Gamma21=0.001, Gamma31=0.001, Gamma23=0.001 if violating else 0.002)
+    off = validate_rates(rates, RateCheckMode.OFF)
+    assert off.within_tolerance is not violating
+    if violating and mode is RateCheckMode.ENFORCE:
+        with pytest.raises(RateRelationViolation) as excinfo:
+            validate_rates(rates, mode, "point: ")
+        assert str(excinfo.value) == off.message
+    else:
+        assert validate_rates(rates, mode.value, "point: ") == off
+    warned = violating and mode is RateCheckMode.WARN
+    assert capsys.readouterr() == ("", f"warning: point: {off.message}\n" if warned else "")
 
 
 def test_rates_helpers():
