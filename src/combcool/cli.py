@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import io
 import itertools
 import math
 import os
@@ -50,7 +51,7 @@ from .core import (
 from .dynamics import (
     IntegrationError,
     IntegratorConfig,
-    check_unit_trace,
+    check_initial_state,
     propagate,
     quantum_yield,
     resolve_step,
@@ -75,7 +76,7 @@ EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_RATES = 4
 
-EMIT_CHOICES = ("timeseries", "summary", "spectrum", "plotdata")
+EMIT_CHOICES = ("timeseries", "summary", "plotdata")
 DEFAULT_EMIT = ("timeseries", "summary")
 OBJECTIVES = ("final_yield", "steady_yield", "max_rho22")
 THREADS_ENV = "COMB_LAMBDA_THREADS"
@@ -243,7 +244,7 @@ def runnable_objects(
     would reach the CLI as a traceback instead of a configuration error.
     """
     sys_, cfg, rates, icfg, rho0 = objects = objects_from_tree(tree)
-    for key, check in (("rho0", lambda: check_unit_trace(rho0)),
+    for key, check in (("rho0", lambda: check_initial_state(rho0)),
                        ("integrator.step_in_pulse", lambda: resolve_step(icfg, cfg, sys_))):
         try:
             check()
@@ -646,8 +647,6 @@ def cmd_run(args) -> int:
 
     sys_, cfg, rates, icfg, rho0 = runnable_objects(resolved.tree)
     validate_rates(rates, args.rates_mode)
-    # the spectrum needs only the train, so an oversized one fails before any work
-    spec = _surrogate_spectrum(cfg)[1] if "spectrum" in emit else None
     traj = propagate(rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True)
 
     out = Path(args.out)
@@ -655,8 +654,6 @@ def cmd_run(args) -> int:
         write_timeseries(out / "timeseries.csv", traj)
     if "summary" in emit:
         _write_lines(out / "summary.txt", summary_lines(resolved, traj))
-    if spec is not None:
-        write_spectrum_csv(out / "spectrum.csv", spec)
     if "plotdata" in emit:
         write_plotdata(out / "plotdata", traj)
 
@@ -707,9 +704,9 @@ class SweepAxis:
 def parse_axis(spec: str) -> SweepAxis:
     """Parse 'key[+key2]=v1,v2,...' or 'key=linspace(start,stop,count)'."""
     key_part, sep, value_part = spec.partition("=")
-    if not sep or not key_part.strip() or not value_part.strip():
+    keys = tuple(k.strip() for k in key_part.split("+"))
+    if not sep or not all(keys) or not value_part.strip():
         raise ConfigError(f"axis {spec!r} is not of the form key=values")
-    keys = tuple(k.strip() for k in key_part.split("+") if k.strip())
     value_part = value_part.strip()
     if value_part.startswith("linspace(") and value_part.endswith(")"):
         inner = value_part[len("linspace(") : -1]
@@ -730,22 +727,28 @@ def parse_axis(spec: str) -> SweepAxis:
     return SweepAxis(keys=keys, values=values)
 
 
-def _sweep_point(payload) -> tuple[float, float, str]:
-    """Evaluate one grid point; never raises (errors travel in the row)."""
+def _sweep_point(payload) -> tuple[float, float, str, str]:
+    """Evaluate one grid point; never raises (errors travel in the row).
+
+    Returns the objective, the trace drift, the error message and what the
+    point wrote to stderr (a rate warning), which the sweep writes out in
+    grid order whichever worker ran the point.
+    """
     tree, assignments, objective, rates_mode = payload
-    try:
-        point_tree = copy.deepcopy(tree)
-        for key, raw in assignments:
-            set_config_key(point_tree, key, raw)
-        sys_, cfg, rates, icfg, rho0 = runnable_objects(point_tree)
-        validate_rates(rates, rates_mode, " ".join(map("=".join, assignments)) + ": ")
-        traj = propagate(rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True)
-        drift = traj.metadata["diagnostics"]["trace_max_drift"]
-        return measure_quantity(traj, objective), float(drift), ""
-    except Exception as exc:  # recorded per row, not fatal to the sweep
-        message = f"{type(exc).__name__}: {exc}".replace(",", ";")
-        message = " ".join(message.split())
-        return math.nan, math.nan, message
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            point_tree = copy.deepcopy(tree)
+            for key, raw in assignments:
+                set_config_key(point_tree, key, raw)
+            sys_, cfg, rates, icfg, rho0 = runnable_objects(point_tree)
+            validate_rates(rates, rates_mode, " ".join(map("=".join, assignments)) + ": ")
+            traj = propagate(rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True)
+            drift = traj.metadata["diagnostics"]["trace_max_drift"]
+            row = measure_quantity(traj, objective), float(drift), ""
+        except Exception as exc:  # recorded per row, not fatal to the sweep
+            message = f"{type(exc).__name__}: {exc}".replace(",", ";")
+            row = math.nan, math.nan, " ".join(message.split())
+    return (*row, err.getvalue())
 
 
 def _worker_count(n_points: int) -> int:
@@ -801,10 +804,11 @@ def cmd_sweep(args) -> int:
 
     header = [axis.label for axis in axes] + [args.objective, "trace_max_drift", "error"]
     lines = [",".join(header)]
-    for point, (value, drift, error) in zip(grid, results):
+    for point, (value, drift, error, stderr) in zip(grid, results):
+        sys.stderr.write(stderr)
         lines.append(",".join([*point, _g(value), _g(drift), error]))
     _write_lines(Path(args.out) / "sweep.csv", lines)
-    n_err = sum(1 for _, _, e in results if e)
+    n_err = sum(1 for _, _, error, _ in results if error)
     print(
         f"sweep: {len(payloads)} points, {n_err} errors, "
         f"objective={args.objective}, workers={workers}"
@@ -1003,7 +1007,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unreadable config or unwritable --out
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RateRelationViolation as exc:

@@ -40,9 +40,6 @@ __all__ = [
     "validate_rates",
 ]
 
-#: Absolute tolerance for the Lambda ladder identity omega31 = omega32 - omega21.
-LADDER_TOL = 1e-9
-
 #: Absolute tolerance for the dephasing-rate relation Gamma23 = Gamma21 + Gamma31.
 RATE_RELATION_TOL = 1e-12
 
@@ -89,32 +86,28 @@ class FrequencyUnit:
 class LevelSystem:
     """Transition frequencies of the Lambda ladder, in reference units.
 
-    omega21 and omega32 are the two driven one-photon transitions; omega31 is
-    the undriven two-photon splitting between the initial and target states.
-    The ladder identity omega31 = omega32 - omega21 is enforced at
-    construction within LADDER_TOL.
+    omega21 and omega32 are the two driven one-photon transitions, with
+    0 < omega21 < omega32; omega31 = omega32 - omega21 is the undriven
+    two-photon splitting between the initial and target states, derived
+    from them and never set on its own.
     """
 
     omega21: float
     omega32: float
-    omega31: float
 
     def __post_init__(self) -> None:
-        for name in ("omega21", "omega32", "omega31"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        defect = abs(self.omega31 - (self.omega32 - self.omega21))
-        if defect > LADDER_TOL:
-            raise ValueError(
-                "inconsistent Lambda ladder: omega32 - omega21 = "
-                f"{self.omega32 - self.omega21!r} but omega31 = {self.omega31!r} "
-                f"(defect {defect:.3e} > {LADDER_TOL:.0e})"
-            )
+        if not 0.0 < self.omega21 < self.omega32:
+            raise ValueError(f"need 0 < omega21 < omega32, got {self.omega21!r} and {self.omega32!r}")
+
+    @property
+    def omega31(self) -> float:
+        """The undriven 1-3 splitting, omega32 - omega21."""
+        return self.omega32 - self.omega21
 
     @classmethod
     def from_transitions(cls, omega21: float, omega32: float) -> "LevelSystem":
-        """Build from the two driven transitions, deriving the 1-3 splitting."""
-        return cls(omega21, omega32, omega32 - omega21)
+        """Build from the two driven transitions; omega31 follows from them."""
+        return cls(omega21, omega32)
 
 
 @dataclass(frozen=True)

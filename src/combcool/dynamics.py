@@ -174,10 +174,23 @@ def resolve_step(icfg: IntegratorConfig, cfg: PulseTrainConfig, sys: LevelSystem
     return step
 
 
-def check_unit_trace(rho0: DensityMatrix) -> None:
-    """Reject an initial state whose trace is not 1 within 1e-12."""
+def check_initial_state(rho0: DensityMatrix) -> None:
+    """Reject an initial state that is no density matrix: its trace must be 1
+    within 1e-12 and its smallest eigenvalue above -1e-12.
+
+    The eigenvalue test eliminates rho0 + 1e-12 * I as a Cholesky
+    factorization does: that matrix is positive definite exactly when every
+    pivot is positive.  It calls no LAPACK routine, whose first call pages
+    in about 0.5 MB; eigvalsh runs only to word the error.
+    """
     if abs(trace(rho0) - 1.0) > 1e-12:
         raise ValueError(f"initial state must have unit trace, got {trace(rho0)!r}")
+    m = rho0.matrix + 1e-12 * np.eye(3)
+    for j in range(3):
+        if not m[j, j].real > 0.0:
+            lowest = np.linalg.eigvalsh(rho0.matrix)[0]
+            raise ValueError(f"initial state must be positive semidefinite, lowest eigenvalue {lowest:.3e}")
+        m[j + 1:, j + 1:] -= np.outer(m[j + 1:, j], m[j, j + 1:]) / m[j, j]
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +684,7 @@ def propagate(
     icfg = icfg if icfg is not None else IntegratorConfig()
     if not allow_unconstrained_rates:
         validate_rates(rates, RateCheckMode.ENFORCE)
-    check_unit_trace(rho0)
+    check_initial_state(rho0)
     step = resolve_step(icfg, cfg, sys)
 
     w = icfg.window_sigmas * cfg.tau

@@ -4,8 +4,9 @@ The electric field is a train of N identical Gaussian pulses with period T,
 carrier omega_L, constant phase phi and an optional intra-pulse phase
 modulation M(s) evaluated in pulse-local time s = t - k*T:
 
-    E(t) = sum_k  prefactor * E0 * exp(-s^2 / (2 tau^2))
-                  * cos(omega_L * s + M(s) + phi)
+    E(t) = sum_k  exp(-s^2 / (2 tau^2)) * cos(omega_L * s + M(s) + phi)
+
+in units of the peak of the pulse envelope.
 
 Because every pulse is referenced to its own centre the train is phase locked:
 the comb it generates has zero offset frequency and the k-th pulse is an exact
@@ -20,10 +21,8 @@ terms.  For the driven transitions (j, i) in {(2, 1), (3, 2)}:
 with Omega_R(s) = rabi_peak * exp(-s^2 / (2 tau^2)) and H_ij = conj(H_ji).
 The 1-3 leg is not dipole coupled and its element is zero.
 
-The envelope prefactor (1 for the plain train, 1/2 for the modulated train's
-conventional normalization) rescales only the synthesized field used for
-spectral analysis; the interaction strength is set independently by
-rabi_peak.
+The interaction strength is set by rabi_peak alone; the synthesized field,
+which only the spectral analysis reads, carries no amplitude of its own.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ class PulseTrainConfig:
     """Geometry and strength of the phase-locked pulse train.
 
     All frequencies and times are dimensionless (see core).  rabi_peak is the
-    peak Rabi frequency entering the Hamiltonian; E0 only scales the
-    synthesized field for spectral analysis.
+    peak Rabi frequency entering the Hamiltonian.
     """
 
     rabi_peak: float
@@ -101,8 +99,6 @@ class PulseTrainConfig:
     T: float
     N: int
     phi: float = 0.0
-    E0: float = 1.0
-    envelope_prefactor: float = 1.0
     modulation: Modulation = Modulation.none()
 
     def __post_init__(self) -> None:
@@ -112,10 +108,6 @@ class PulseTrainConfig:
             raise ValueError(f"omega_L must be positive, got {self.omega_L!r}")
         if self.rabi_peak < 0.0:
             raise ValueError(f"rabi_peak must be non-negative, got {self.rabi_peak!r}")
-        if not self.E0 >= 0.0:
-            raise ValueError(f"E0 must be non-negative, got {self.E0!r}")
-        if not self.envelope_prefactor > 0.0:
-            raise ValueError(f"envelope_prefactor must be positive, got {self.envelope_prefactor!r}")
         if not (isinstance(self.N, int) and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
         if not self.T > 0.0:
@@ -131,7 +123,8 @@ class PulseTrainConfig:
                 warnings.warn(
                     f"pulse period T = {self.T:g} is below 50*tau = {50.0 * self.tau:g}; "
                     "window truncation tails start to matter",
-                    stacklevel=2,
+                    # 3 names the caller of the generated __init__, which built the config
+                    stacklevel=3,
                 )
 
 
@@ -145,7 +138,8 @@ def phase_modulation(t_local, modulation: Modulation):
 
 
 def field_amplitude(t, cfg: PulseTrainConfig, window_sigmas: float = DEFAULT_WINDOW_SIGMAS):
-    """Real electric field of the full train at absolute time(s) t.
+    """Real electric field of the full train at absolute time(s) t, in units
+    of the peak of the pulse envelope.
 
     Each pulse contributes only within k*T - w <= t <= k*T + w, where
     w = window_sigmas * tau; the dropped tails are at the
@@ -158,7 +152,6 @@ def field_amplitude(t, cfg: PulseTrainConfig, window_sigmas: float = DEFAULT_WIN
     order = np.argsort(t_flat, kind="stable")
     out = np.zeros_like(t_flat)
     half = window_sigmas * cfg.tau
-    amp = cfg.envelope_prefactor * cfg.E0
 
     for k in range(cfg.N):
         centre = k * cfg.T
@@ -166,10 +159,8 @@ def field_amplitude(t, cfg: PulseTrainConfig, window_sigmas: float = DEFAULT_WIN
         hi = np.searchsorted(t_flat, centre + half, side="right", sorter=order)
         idx = order[lo:hi]
         s = t_flat[idx] - centre
-        out[idx] += (
-            amp
-            * np.exp(-(s * s) / (2.0 * cfg.tau * cfg.tau))
-            * np.cos(cfg.omega_L * s + phase_modulation(s, cfg.modulation) + cfg.phi)
+        out[idx] += np.exp(-(s * s) / (2.0 * cfg.tau * cfg.tau)) * np.cos(
+            cfg.omega_L * s + phase_modulation(s, cfg.modulation) + cfg.phi
         )
 
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)

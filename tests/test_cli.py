@@ -143,6 +143,32 @@ def test_unknown_scenario_is_a_config_error(tmp_path):
     )
 
 
+def test_config_with_the_removed_keys_exits_2_naming_the_first(tmp_path, capsys):
+    """A fig5sp config as earlier releases dumped it, with system.omega31,
+    train.E0 and train.envelope_prefactor, exits 2 naming system.omega31.
+    Without those lines it is today's dump, which test_dumped_config_reproduces_its_run
+    runs to the preset's bytes."""
+    cfg = tmp_path / "fig5sp.cfg"
+    assert run_cli("run", "--scenario", "fig5sp", "--dump-config", str(cfg)) == EXIT_OK
+    omega31 = cli._g(get_preset("fig5sp").sys.omega31)
+    removed = f"system.omega31 = {omega31}\ntrain.E0 = 1\ntrain.envelope_prefactor = 1\n"
+    cfg.write_text(cfg.read_text(encoding="utf-8") + removed, encoding="utf-8")
+    assert run_cli("run", "--scenario", str(cfg), "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: unknown configuration key 'system.omega31'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    """An --out below a regular file exits 2 with one line, not a traceback."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    code = run_cli("run", "--scenario", "fig4", "--set", "train.N=2", "--out", str(blocker / "x"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(blocker) in err
+    assert err.count("\n") == 1
+
+
 def test_incomplete_config_file_is_rejected(tmp_path):
     partial = tmp_path / "partial.cfg"
     partial.write_text("train.N = 4\n", encoding="utf-8")
@@ -175,11 +201,14 @@ def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
     [
         ("rho0.rho11=0.5", "rho0", "unit trace"),
         ("integrator.step_in_pulse=10", "integrator.step_in_pulse", "stability cap"),
+        # unit trace but an eigenvalue of -0.4, which integrating would blame on the step
+        ("rho0.rho11=0.5 rho0.rho33=0.5 rho0.re13=0.9", "rho0", "positive semidefinite"),
     ],
 )
 def test_input_rejected_by_propagate_is_a_config_error(tmp_path, capsys, override, key, message):
+    settings = [arg for setting in override.split() for arg in ("--set", setting)]
     code = run_cli(
-        "run", "--scenario", "fig3", "--set", override,
+        "run", "--scenario", "fig3", *settings,
         "--emit", "summary", "--out", str(tmp_path),
     )
     assert code == EXIT_CONFIG
@@ -663,6 +692,26 @@ def test_sweep_is_deterministic_across_worker_counts(tmp_path, monkeypatch):
     assert (out_serial / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
 
 
+def test_sweep_warnings_are_in_grid_order_for_any_worker_count(tmp_path, monkeypatch, capsys):
+    """Each point's warning travels with its row, so the stderr of two workers is
+    that of one, byte for byte."""
+    deviations = ("0.001", "0.002", "0.003", "0.004")
+    argv = (
+        "sweep", "--scenario", "fig4", "--set", "train.N=3",
+        "--axis1", f"rates.Gamma23={','.join(deviations)}", "--rates-mode", "warn",
+    )
+    err = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("COMB_LAMBDA_THREADS", workers)
+        assert run_cli(*argv, "--out", str(tmp_path / workers)) == EXIT_OK
+        err[workers] = capsys.readouterr().err
+    assert err["2"] == err["1"] == "".join(
+        f"warning: rates.Gamma23={d}: Gamma23 - (Gamma21 + Gamma31) = {d}; "
+        "the additive dephasing relation is violated\n"
+        for d in deviations
+    )
+
+
 def test_chirp_outperforms_plain_comb_in_sweep(tmp_path):
     out = tmp_path / "out"
     run_cli(
@@ -767,30 +816,6 @@ def test_spectrum_verb_refuses_oversized_synthesis(tmp_path, capsys):
     code = run_cli("spectrum", "--scenario", "fig4", "--out", str(tmp_path))
     assert code == EXIT_CONFIG
     assert "desk-scale" in capsys.readouterr().err
-
-
-def test_run_checks_the_spectrum_size_before_propagating(tmp_path, capsys, monkeypatch):
-    def no_propagate(*args, **kwargs):
-        raise AssertionError("propagate ran before the spectrum size was checked")
-
-    monkeypatch.setattr(cli, "propagate", no_propagate)
-    out = tmp_path / "out"
-    code = run_cli(
-        "run", "--scenario", "fig4", "--emit", "timeseries,summary,spectrum", "--out", str(out),
-    )
-    assert code == EXIT_CONFIG
-    assert "spectrum would need 12983008 samples (cap 4000000)" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_run_emits_the_spectrum_of_the_spectrum_verb(tmp_path):
-    assert run_cli(
-        "run", "--scenario", "fig6sin", "--emit", "spectrum", "--out", str(tmp_path / "run")
-    ) == EXIT_OK
-    assert run_cli("spectrum", "--scenario", "fig6sin", "--out", str(tmp_path / "spec")) == EXIT_OK
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["spectrum.csv"]
-    spectrum_csv = (tmp_path / "run" / "spectrum.csv").read_bytes()
-    assert spectrum_csv == (tmp_path / "spec" / "spectrum.csv").read_bytes()
 
 
 # --- integration failure --------------------------------------------------------------
@@ -951,6 +976,20 @@ def test_validate_rates_old_spellings_exit_2(capsys, argv, message):
             ("run", "--scenario", "fig4", "--set", "train.tau=-1"), {},
             "tau must be positive, got -1.0", id="domain_value",
         ),
+        # omega31 is derived from omega21 and omega32; the field has no amplitude of its own
+        *(
+            pytest.param(
+                ("run", "--scenario", "fig4", "--set", f"{key}=1"), {},
+                f"unknown configuration key {key!r}", id=f"removed_key_{key}",
+            )
+            for key in ("system.omega31", "train.E0", "train.envelope_prefactor")
+        ),
+        # spectrum.csv is written by the spectrum verb alone
+        pytest.param(
+            ("run", "--scenario", "fig6sin", "--emit", "timeseries,spectrum"), {},
+            "unknown emit target 'spectrum', expected one of ('timeseries', 'summary', 'plotdata')",
+            id="emit_spectrum",
+        ),
         pytest.param(
             ("sweep", "--scenario", "fig4", "--axis1", "train.T=linspace(a,2,3)"), {},
             "axis 'train.T=linspace(a,2,3)': could not convert string to float: 'a'", id="linspace",
@@ -958,6 +997,11 @@ def test_validate_rates_old_spellings_exit_2(capsys, argv, message):
         pytest.param(
             ("sweep", "--scenario", "fig4", "--axis1", "train.T=,"), {},
             "axis 'train.T=,' lists no values", id="empty_axis",
+        ),
+        # earlier releases ran the unmodified scenario at every value, under an empty label
+        pytest.param(
+            ("sweep", "--scenario", "fig4", "--set", "train.N=2", "--axis1", "+=1,2"), {},
+            "axis '+=1,2' is not of the form key=values", id="axis_without_key",
         ),
         # a key swept twice would run every point at its last value under its first value's label
         pytest.param(
@@ -1178,7 +1222,7 @@ def test_run_with_every_emitter_never_forms_the_full_arrays(tmp_path, monkeypatc
     """The writers and readouts read row blocks, pulse ends and the last rows."""
     with monkeypatch.context() as patch:
         patch.setattr(Trajectory, "_form_arrays", lambda self: pytest.fail("arrays formed"))
-        emit = "timeseries,summary,plotdata,spectrum"
+        emit = "timeseries,summary,plotdata"
         assert run_cli("run", "--scenario", "fig6sin", "--emit", emit, "--out", str(tmp_path)) == EXIT_OK
     traj = run_preset(get_preset("fig6sin"))
     columns = (traj.times, *traj.data.T, traj.data[:, :3].sum(axis=1))

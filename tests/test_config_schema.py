@@ -54,8 +54,6 @@ def pulse_trains(draw):
         T=tau * draw(_positive(10.0, 1e4)),
         N=draw(st.integers(1, 10_000)),
         phi=draw(st.floats(-10.0, 10.0)),
-        E0=draw(_non_negative()),
-        envelope_prefactor=draw(_positive()),
         modulation=draw(modulations()),
     )
 

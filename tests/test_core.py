@@ -15,7 +15,7 @@ from combcool import (
     trace,
     validate_rates,
 )
-from combcool.core import LADDER_TOL, VECTOR_COMPONENTS
+from combcool.core import VECTOR_COMPONENTS
 
 
 # --- FrequencyUnit ----------------------------------------------------------
@@ -52,17 +52,20 @@ def test_ladder_identity_derived_by_factory():
 
 
 def test_ladder_identity_enforced():
-    with pytest.raises(ValueError, match="ladder"):
-        LevelSystem(omega21=2.0, omega32=3.0, omega31=1.5)
-    # within tolerance is accepted
-    LevelSystem(omega21=2.0, omega32=3.0, omega31=1.0 + 0.5 * LADDER_TOL)
+    """omega31 is derived, never set: bitwise omega32 - omega21, with no third
+    field that could contradict it."""
+    sys_ = LevelSystem(omega21=2.1, omega32=3.3)
+    assert sys_.omega31 == 3.3 - 2.1
+    assert LevelSystem.from_transitions(2.1, 3.3) == sys_
+    with pytest.raises(TypeError):
+        LevelSystem(omega21=2.0, omega32=3.0, omega31=1.0)
 
 
 def test_level_system_rejects_nonpositive_frequencies():
-    with pytest.raises(ValueError):
-        LevelSystem.from_transitions(-1.0, 2.0)
-    with pytest.raises(ValueError):
-        LevelSystem.from_transitions(2.0, 2.0)  # omega31 would be zero
+    # omega31 = omega32 - omega21 must be positive too
+    for omega21, omega32 in ((-1.0, 2.0), (0.0, 2.0), (2.0, 2.0), (3.0, 2.0)):
+        with pytest.raises(ValueError, match="need 0 < omega21 < omega32"):
+            LevelSystem.from_transitions(omega21, omega32)
 
 
 # --- DecoherenceRates -------------------------------------------------------

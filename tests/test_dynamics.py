@@ -942,7 +942,7 @@ def test_memo_reuses_the_map_across_period_and_pulse_count(monkeypatch, fields):
         ("train", {"phi": -0.0}),  # equal to 0.0 as a float, but a different bit pattern
         ("modulation", {"amplitude": 1.5}),
         ("rates", {"gamma21": 0.002}),
-        ("system", {"omega32": 4.5, "omega31": 1.5}),
+        ("system", {"omega32": 4.5}),
         ("integrator", {"step_in_pulse": 0.002}),
         ("integrator", {"window_sigmas": 5.0}),
     ],
@@ -1123,3 +1123,32 @@ def test_dynamics_input_checks_raise_their_message(build, message):
     with pytest.raises(ValueError) as raised:
         build()
     assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+def test_initial_state_check_agrees_with_the_lowest_eigenvalue():
+    """check_initial_state's pivot test rejects exactly the unit-trace states
+    whose lowest eigvalsh eigenvalue is below -1e-12, pure states included."""
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        psi[rng.integers(3)] *= 10.0 ** rng.integers(-8, 1)  # some near-zero amplitudes
+        psi /= np.linalg.norm(psi)
+        dynamics.check_initial_state(DensityMatrix.from_matrix(np.outer(psi, psi.conj())))
+    checked = {True: 0, False: 0}
+    for _ in range(400):
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        shift = rng.uniform(-0.3, 0.1)
+        rho = (rho + shift * np.eye(3)) / (1.0 + 3.0 * shift)
+        lowest = np.linalg.eigvalsh(rho)[0]
+        if abs(lowest) < 1e-9:
+            continue
+        state = DensityMatrix.from_matrix(rho)
+        if lowest < 0.0:
+            with pytest.raises(ValueError, match="positive semidefinite, lowest eigenvalue"):
+                dynamics.check_initial_state(state)
+        else:
+            dynamics.check_initial_state(state)
+        checked[lowest < 0.0] += 1
+    assert min(checked.values()) > 100

@@ -27,8 +27,9 @@ def _cfg(**overrides):
 
 
 def test_field_peak_value_and_carrier_phase():
-    cfg = _cfg(E0=1.3, envelope_prefactor=0.9, phi=0.4)
-    assert field_amplitude(0.0, cfg) == pytest.approx(1.3 * 0.9 * math.cos(0.4))
+    """The field is in units of the envelope peak, so a pulse centre reads cos(phi)."""
+    cfg = _cfg(phi=0.4)
+    assert field_amplitude(0.0, cfg) == math.cos(0.4)
 
 
 def test_field_carrier_oscillates_at_omega_L():
@@ -182,8 +183,8 @@ def test_basic_parameter_validation():
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"E0": -1.0}, "E0 must be non-negative, got -1.0"),
-        ({"envelope_prefactor": 0.0}, "envelope_prefactor must be positive, got 0.0"),
+        ({"tau": 0.0}, "tau must be positive, got 0.0"),
+        ({"omega_L": -1.0}, "omega_L must be positive, got -1.0"),
         ({"T": 0.0}, "T must be positive, got 0.0"),
         ({"T": -20.0, "N": 2}, "T must be positive, got -20.0"),
     ],
@@ -192,3 +193,9 @@ def test_train_input_checks_raise_their_message(overrides, message):
     with pytest.raises(ValueError) as raised:
         _cfg(**overrides)
     assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+def test_short_period_warning_names_the_code_that_built_the_config():
+    with pytest.warns(UserWarning, match="below 50\\*tau") as record:
+        _cfg(N=2, T=5.0)  # 10 tau <= T < 50 tau
+    assert [w.filename for w in record] == [__file__]

@@ -62,9 +62,9 @@ def test_parseval_identity():
 
 
 def test_total_energy_matches_gaussian_pulse_integral():
-    """Energy of N well-separated pulses: N * E0^2 * tau * sqrt(pi)/2.
+    """Energy of N well-separated pulses of unit peak: N * tau * sqrt(pi)/2.
 
-    (The envelope-squared integral is E0^2 tau sqrt(pi); the cos^2 carrier
+    (The envelope-squared integral is tau sqrt(pi); the cos^2 carrier
     averages it down by one half.)
     """
     cfg = desk_train("none", n_pulses=8)
@@ -72,7 +72,7 @@ def test_total_energy_matches_gaussian_pulse_integral():
     series = sample_field(cfg, rate, cfg.N * cfg.T)
     dt = 1.0 / rate
     measured = float(np.sum(series**2) * dt)
-    expected = cfg.N * cfg.E0**2 * cfg.tau * math.sqrt(math.pi) / 2.0
+    expected = cfg.N * cfg.tau * math.sqrt(math.pi) / 2.0
     assert measured == pytest.approx(expected, rel=1e-3)
 
 
