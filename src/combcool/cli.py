@@ -15,10 +15,11 @@ a flat ``key = value`` configuration file as written by ``run
 ``run``, ``sweep`` and ``validate-rates`` apply ``--rates-mode`` (a
 RateCheckMode value) through core.validate_rates, the one place the
 rate-relation policy lives.  Exit codes: 0 success, 2 configuration error,
-3 integration failure, 4 rate relation violated under enforcement.  All
-emitted files are UTF-8 with LF
-line endings; CSV numbers carry 17 significant digits so they round-trip
-64-bit floats losslessly.
+3 integration failure, 4 rate relation violated under enforcement.  An
+``--out`` that cannot become a directory is a configuration error before
+any work starts, and a library warning prints as one ``warning:`` line on
+stderr.  All emitted files are UTF-8 with LF line endings; CSV numbers
+carry 17 significant digits so they round-trip 64-bit floats losslessly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import itertools
 import math
 import os
 import sys
+import warnings
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
@@ -306,6 +308,25 @@ _PLOT_NAMES = ("rho11", "rho22", "rho33")
 
 def _g(value) -> str:
     return format(float(value), ".17g")
+
+
+def _out_dir(out: str) -> Path:
+    """The --out directory, refused before any work if it cannot be made.
+
+    Its nearest existing ancestor (the directory itself, if it exists) must
+    be a directory this process can write into.  Nothing is created yet, so
+    a run that fails later leaves no directory behind.
+    """
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out}: {existing} is not a writable directory")
+    return Path(out)
+
+
+def _warning_line(where: str = ""):
+    """A warnings.showwarning that writes a library warning to stderr as one
+    line, "warning: {where}{message}", like the rate warnings."""
+    return lambda message, *_: print(f"warning: {where}{message}", file=sys.stderr)
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -636,20 +657,18 @@ def cmd_run(args) -> int:
     emit = _parse_emit(args.emit)
     resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
     if args.dump_config is not None:
-        text = "\n".join(config_lines(resolved.tree)) + "\n"
+        lines = config_lines(resolved.tree)
         if args.dump_config == "-":
-            sys.stdout.write(text)
+            sys.stdout.write("\n".join(lines) + "\n")
         else:
-            dest = Path(args.dump_config)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_text(text, encoding="utf-8")
+            _write_lines(Path(args.dump_config), lines)
         return EXIT_OK
 
     sys_, cfg, rates, icfg, rho0 = runnable_objects(resolved.tree)
     validate_rates(rates, args.rates_mode)
+    out = _out_dir(args.out)
     traj = propagate(rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True)
 
-    out = Path(args.out)
     if "timeseries" in emit:
         write_timeseries(out / "timeseries.csv", traj)
     if "summary" in emit:
@@ -666,22 +685,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_emit(values) -> tuple[str, ...]:
+def _parse_emit(values) -> set[str]:
+    """The emit targets named by the --emit values, or DEFAULT_EMIT without any."""
     if not values:
-        return DEFAULT_EMIT
-    chosen: list[str] = []
-    for chunk in values:
-        for name in chunk.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name not in EMIT_CHOICES:
-                raise ConfigError(
-                    f"unknown emit target {name!r}, expected one of {EMIT_CHOICES}"
-                )
-            if name not in chosen:
-                chosen.append(name)
-    return tuple(chosen)
+        return set(DEFAULT_EMIT)
+    names = [name.strip() for chunk in values for name in chunk.split(",")]
+    unknown = [name for name in names if name and name not in EMIT_CHOICES]
+    if unknown:
+        raise ConfigError(f"unknown emit target {unknown[0]!r}, expected one of {EMIT_CHOICES}")
+    return set(names) - {""}
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +707,6 @@ class SweepAxis:
 
     keys: tuple[str, ...]
     values: tuple[str, ...]
-
-    @property
-    def label(self) -> str:
-        return "+".join(self.keys)
 
 
 def parse_axis(spec: str) -> SweepAxis:
@@ -731,17 +739,22 @@ def _sweep_point(payload) -> tuple[float, float, str, str]:
     """Evaluate one grid point; never raises (errors travel in the row).
 
     Returns the objective, the trace drift, the error message and what the
-    point wrote to stderr (a rate warning), which the sweep writes out in
-    grid order whichever worker ran the point.
+    point wrote to stderr (rate and library warnings, each line prefixed
+    with the point's assignments), which the sweep writes out in grid order
+    whichever worker ran the point.  Every warning of the point is shown,
+    whatever its worker process has shown before.
     """
     tree, assignments, objective, rates_mode = payload
-    with contextlib.redirect_stderr(io.StringIO()) as err:
+    where = " ".join(map("=".join, assignments)) + ": "
+    with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _warning_line(where)
         try:
             point_tree = copy.deepcopy(tree)
             for key, raw in assignments:
                 set_config_key(point_tree, key, raw)
             sys_, cfg, rates, icfg, rho0 = runnable_objects(point_tree)
-            validate_rates(rates, rates_mode, " ".join(map("=".join, assignments)) + ": ")
+            validate_rates(rates, rates_mode, where)
             traj = propagate(rho0, cfg, sys_, rates, icfg, allow_unconstrained_rates=True)
             drift = traj.metadata["diagnostics"]["trace_max_drift"]
             row = measure_quantity(traj, objective), float(drift), ""
@@ -782,6 +795,7 @@ def cmd_sweep(args) -> int:
         if keys.count(key) > 1:
             raise ConfigError(f"sweep key {key!r} is given more than once")
 
+    out = _out_dir(args.out)
     grid = list(itertools.product(*(axis.values for axis in axes)))
     payloads = [
         (
@@ -802,12 +816,12 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
 
-    header = [axis.label for axis in axes] + [args.objective, "trace_max_drift", "error"]
+    header = ["+".join(axis.keys) for axis in axes] + [args.objective, "trace_max_drift", "error"]
     lines = [",".join(header)]
     for point, (value, drift, error, stderr) in zip(grid, results):
         sys.stderr.write(stderr)
         lines.append(",".join([*point, _g(value), _g(drift), error]))
-    _write_lines(Path(args.out) / "sweep.csv", lines)
+    _write_lines(out / "sweep.csv", lines)
     n_err = sum(1 for _, _, error, _ in results if error)
     print(
         f"sweep: {len(payloads)} points, {n_err} errors, "
@@ -828,6 +842,7 @@ def cmd_spectrum(args) -> int:
         )
     resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
     _, cfg, _, _, _ = objects_from_tree(resolved.tree)
+    out = _out_dir(args.out)
     cfg_s, spec = _surrogate_spectrum(cfg)
     peaks = spectrum_mod.extract_peaks(spec, args.threshold)
     try:
@@ -836,7 +851,6 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(
             f"{exc}; the analyzed train has no comb structure to verify"
         ) from exc
-    out = Path(args.out)
     write_spectrum_csv(out / "spectrum.csv", spec)
     _write_lines(out / "structure.txt", report.format().splitlines())
     print(report.format())
@@ -864,16 +878,13 @@ def cmd_validate_rates(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    out = None if args.out is None else _out_dir(args.out)
     result = calibrate_fig4(quick=args.quick)
-    print(f"tau = {_g(result.tau)}")
-    print(f"period = {_g(result.period)}")
-    print(f"n_pulses = {result.n_pulses}")
-    print(f"final_yield = {_g(result.final_yield)}")
-    print(f"transfer_pulse = {result.transfer_pulse}")
-    print(f"max_rho22 = {_g(result.max_rho22)}")
-    if args.out is not None:
+    for name in ("tau", "period", "n_pulses", "final_yield", "transfer_pulse", "max_rho22"):
+        print(f"{name} = {_format_value(getattr(result, name))}")
+    if out is not None:
         _write_rows(
-            Path(args.out) / "calibration.csv",
+            out / "calibration.csv",
             "tau,period,peak_yield,peak_pulse,transfer_pulse",
             np.array([astuple(point) for point in result.scanned]),
         )
@@ -1005,17 +1016,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, OSError) as exc:  # OSError: an unreadable config or unwritable --out
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RateRelationViolation as exc:
-        print(f"rate relation violated: {exc}", file=sys.stderr)
-        return EXIT_RATES
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line()
+        try:
+            return args.func(args)
+        except (ConfigError, OSError) as exc:  # OSError: an unreadable config or unwritable --out
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except RateRelationViolation as exc:
+            print(f"rate relation violated: {exc}", file=sys.stderr)
+            return EXIT_RATES
+        except IntegrationError as exc:
+            print(f"integration failed: {exc}", file=sys.stderr)
+            return EXIT_INTEGRATION
 
 
 if __name__ == "__main__":

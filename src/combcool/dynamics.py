@@ -29,13 +29,17 @@ superoperator in pulse-local time.  The propagator therefore integrates the
 9x9 real generator once per distinct window shape (the first window, and
 the interior window when there is more than one pulse) and applies the
 resulting linear maps to every pulse, in blocks of pulses within a fixed
-byte budget of fine states.  One loop carries and scans every block, the
-first of them pulse 0 alone on the first window, and keeps only the pulse
-ends: every pulse applies the same map to the state the gap map leaves, so
-the ends determine every sample, and the returned trajectory forms its
-rows from them, block by block, where they are read.  The equations are
-linear in rho, so this is algebraically identical to integrating each
-pulse separately; the tests pin it against that per-pulse integration.
+byte budget of fine states.  The train is one stroboscopic map: each gap
+applies the gap map G and each pulse the window's end map M, so pulse ends
+follow the period map P = M G, formed once per window map.  One loop
+carries and scans every block, the first of them pulse 0 alone on the
+first window, and keeps only the pulse ends, one product with P each.  A
+block's pulse starts are one batched gap map of the ends before them
+(_pulse_starts), for the scan and again wherever the returned trajectory
+forms its rows, block by block; the ends determine every sample.  The
+equations are linear in rho, so this is algebraically identical to
+integrating each pulse separately; the tests pin it against that per-pulse
+integration.
 
 The window map does not depend on the pulse count, and depends on the
 period only through the clipped window span, so the last map built stays in
@@ -562,6 +566,21 @@ def _scan_states(states: np.ndarray, times, trace_tol: float, pop_tol: float):
     return max_drift, pmin, float(p2.max())
 
 
+def _pulse_starts(v0, before, crossing):
+    """The start states of a block of pulses, one per row.
+
+    before holds the ends of the pulses before them, or is None for pulse
+    0's block, which starts from v0.  Each later start is the carried gap
+    map (factors crossing, None if the train crosses no gap) of the end
+    before it, one batched map bitwise equal to the per-pulse one.  The
+    scan of propagate and the row former _pulse_rows both take their
+    starts from here.
+    """
+    if before is None:
+        return v0[None]
+    return before if crossing is None else np.ascontiguousarray(_apply_free(before.T, crossing).T)
+
+
 def _pulse_rows(v0, windows, crossing, offsets, gap_dts, T, w, block, ends, first):
     """Yield (times, rows) of a propagated train's row blocks from row first
     to the train's last row.
@@ -573,11 +592,10 @@ def _pulse_rows(v0, windows, crossing, offsets, gap_dts, T, w, block, ends, firs
     and of each in-gap sample offset dt of gap_dts, the period T, the window
     half-width w and the block size.  Pulse 0 is one block on the first
     window; later pulses run in blocks of block pulses on the interior
-    window, as in the carry.  A block's starts are v0 or the gap map of the
-    pulse ends before them, one batched map bitwise equal to the carried
-    ones.  One matrix product of the starts with the recorded rows gives
-    the recorded samples; each pulse's last row is its end (the state the
-    next gap map acts on), and each in-gap sample offset is one gap map
+    window, as in the carry.  A block's starts come from _pulse_starts, as
+    in the scan.  One matrix product of the starts with the recorded rows
+    gives the recorded samples; each pulse's last row is its end (the state
+    the next gap map acts on), and each in-gap sample offset is one gap map
     applied to the block's stacked pulse ends.  The train's last pulse
     records no gap samples, and the first block formed leaves out its rows
     before row first.
@@ -591,9 +609,7 @@ def _pulse_rows(v0, windows, crossing, offsets, gap_dts, T, w, block, ends, firs
         hi = min(k + block, n_pulses) if k else 1
         rec_times, rec_rows = windows[-1] if k else windows[0]
         n_rec, block_ends = rec_times.size, ends[k:hi]
-        starts = ends[k - 1:hi - 1] if k else v0[None]
-        if k and crossing is not None:
-            starts = np.ascontiguousarray(_apply_free(starts.T, crossing).T)
+        starts = _pulse_starts(v0, ends[k - 1:hi - 1] if k else None, crossing)
         starts_t = np.arange(k, hi)[:, None] * T
         pulse_times = np.empty((hi - k, n_rec + n_gap_samples))
         pulse_rows = np.empty(pulse_times.shape + (9,))
@@ -637,19 +653,22 @@ def propagate(
     run in blocks whose fine states fit _BLOCK_BYTES (72 bytes per fine
     step and pulse).  The gap-map factors are formed once per call: one set
     for the carried gap (only if the train crosses a gap or rotates) and one
-    per in-gap sample offset.  One loop runs over the blocks, and each pass
-    does four things in turn:
+    per in-gap sample offset.  The carried gap's map is also formed once as
+    a 9x9 matrix G, the gap map of the identity, and each window map fetched
+    gives the period map P = M G with M its end map (P = M with no gap map).
+    One loop runs over the blocks, and each pass does four things in turn:
 
-    - The carry.  Pulse-start and pulse-end states are carried along the
-      block with the pulse-end map and the gap map, into two arrays.
+    - The carry.  Only pulse ends are carried: pulse 0's end is M rho0, and
+      each later end is one product of P with the end before it.
     - The early stop.  The rule reads the block's carried ends against the
       end before each; pulse 0's end has none, so it never counts toward
       the stable run.  The block is cut after the stopping pulse, and the
       loop ends with it, so the call keeps only the pulses that run.
-    - The scan.  One matrix product with the population rows of the window
-      map gives the populations of every fine state of the kept pulses,
-      each pulse's last one taken from its carried end; the guard extremes
-      are three running values.
+    - The scan.  The kept pulses' starts come from _pulse_starts, one
+      batched gap map of the ends before them (rho0 for pulse 0).  One
+      matrix product with the population rows of the window map gives the
+      populations of every fine state, each pulse's last one taken from its
+      carried end; the guard extremes are three running values.
     - The record.  The kept pulse ends are appended to the carried ends;
       the block's starts are dropped once scanned.
 
@@ -658,8 +677,9 @@ def propagate(
     samples of each window, the gap-map factors, T, w and the block size.
     It forms the rows wherever they are read, block by block on the same
     partition as the carry, each block's starts formed again from the
-    pulse ends before them; the train's last pulse, the last of the train
-    or the one that stopped it, records no gap samples.
+    pulse ends before them by _pulse_starts, as in the scan; the train's
+    last pulse, the last of the train or the one that stopped it, records
+    no gap samples.
 
     With a gap every pulse shares the first window and its recorded rows;
     without one, later windows start where the one before ended, and the
@@ -702,12 +722,13 @@ def propagate(
         _gap_factors(dt, rates, None if angles is None else tuple(a * dt / gap for a in angles))
         for dt in gap_dts
     ]
+    # the carried gap as a 9x9 matrix G, the columns of the gap map of the identity
+    gap_map = None if crossing is None else _apply_free(np.eye(9), crossing)
     tols = (icfg.trace_tol, icfg.pop_tol)
 
     v = v0 = rho0.to_vector()
     drift, pmin, p2max = 0.0, float(v[:3].min()), float(v[1])
-    # pulse 0's end has no predecessor, so it never counts toward the stable run
-    last_pops, stable_run, stopped_early = np.full(3, np.nan), 0, False
+    stable_run, stopped_early = 0, False
     windows, carried, k = [], [], 0
     while k < N and not stopped_early:
         if k == 0 or (k == 1 and gap == 0.0):
@@ -717,37 +738,36 @@ def propagate(
             # when 2w > T) and do not record that node again: sel[k:] drops it.
             # The first map is dropped before the interior one is fetched, so
             # each map is built once and one is held.
-            m_fine = m_end = pop_rows = None
+            m_fine = m_end = period = pop_rows = None
             s_grid, m_fine = _window_map((max(-w, w - T), w) if k else (-w, w), step, cfg, sys, rates)
             m_end = m_fine[-1]
+            # the pulse-end period map P = M G: one gap, then one pulse
+            period = m_end if gap_map is None else np.dot(m_end, gap_map)
             pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
             sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)[k:]
             windows.append((s_grid[sel], m_fine[sel].reshape(-1, 9)))
-            row_len = sel.size + n_gap_samples
-            # pulse 0's end row; each later pulse ends row_len rows after the one before
-            first_end = first_end if k else sel.size - 1
             block = max(1, _BLOCK_BYTES // (72 * s_grid.size))
-        # carry pulse starts and ends along the block
+        # carry the pulse ends along the block: pulse 0 maps rho0 by M, each
+        # later pulse the end before it by P.  Row 0 holds the end before the
+        # block, NaN before pulse 0, so pulse 0 never counts toward the stable run.
         n_block = 1 if k == 0 else min(N - k, block)
-        starts, ends = np.empty((n_block, 9)), np.empty((n_block, 9))
-        for b in range(n_block):
-            starts[b] = v
-            v = ends[b] = np.dot(m_end, v)
-            if k + b < N - 1 and crossing is not None:
-                v = _apply_free(v, crossing)
+        ends = np.empty((n_block + 1, 9))
+        ends[0] = v if k else np.nan
+        for b in range(1, n_block + 1):
+            v = ends[b] = np.dot(period if k else m_end, v)
         if icfg.early_stop_pulses:
             # how far each pulse end's populations moved from the end before it
-            moved = np.abs(np.diff(ends[:, :3], axis=0, prepend=last_pops[None])).max(axis=1)
+            moved = np.abs(np.diff(ends[:, :3], axis=0)).max(axis=1)
             for b, moved_b in enumerate(moved.tolist()):
                 stable_run = stable_run + 1 if moved_b < icfg.early_stop_tol else 0
                 if stable_run >= icfg.early_stop_pulses:
                     n_block, stopped_early = b + 1, True
                     break
-            last_pops = ends[n_block - 1, :3]
         # scan every fine state of the kept pulses; the recorded pulse end is
         # exactly the state the next gap map acts on
-        pops = (starts[:n_block] @ pop_rows.T).reshape(n_block, -1, 3)
-        pops[:, -1] = ends[:n_block, :3]
+        starts = _pulse_starts(v0, ends[:n_block] if k else None, crossing)
+        pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
+        pops[:, -1] = ends[1:n_block + 1, :3]
         try:
             d, p, q = _scan_states(pops.reshape(-1, 3), None, *tols)
         except IntegrationError:
@@ -758,8 +778,10 @@ def propagate(
             raise
         drift, pmin, p2max = max(drift, d), min(pmin, p), max(p2max, q)
         del pops  # before the next block's populations are formed
-        carried.append(ends[:n_block])
+        carried.append(ends[1:n_block + 1])
         k += n_block
+    # pulse 0's end row; each later pulse ends row_len rows after the one before
+    first_end, row_len = windows[0][0].size - 1, windows[-1][0].size + n_gap_samples
     pulse_end_indices = np.arange(first_end, first_end + k * row_len, row_len)
     rows = functools.partial(_pulse_rows, v0, windows, crossing, offsets, gap_dts, T, w, block)
 

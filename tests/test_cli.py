@@ -217,14 +217,16 @@ def test_input_rejected_by_propagate_is_a_config_error(tmp_path, capsys, overrid
     assert not (tmp_path / "summary.txt").exists()
 
 
-def test_gap_below_time_resolution_runs(tmp_path):
+def test_gap_below_time_resolution_runs(tmp_path, capsys):
     # T - 2w = 4.4e-16 with w = 6 tau: the gap samples would round onto the window ends
-    with pytest.warns(UserWarning, match="below 50"):
-        code = run_cli(
-            "run", "--scenario", "fig4", "--set", "train.T=2.376000000000001",
-            "--set", "train.N=3", "--emit", "timeseries", "--out", str(tmp_path),
-        )
+    code = run_cli(
+        "run", "--scenario", "fig4", "--set", "train.T=2.376000000000001",
+        "--set", "train.N=3", "--emit", "timeseries", "--out", str(tmp_path),
+    )
     assert code == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: pulse period T = 2.376 is below 50*tau = 9.9; window truncation tails start to matter\n"
+    )
     times = np.loadtxt(tmp_path / "timeseries.csv", delimiter=",", skiprows=1)[:, 0]
     assert np.all(np.diff(times) > 0.0)
 
@@ -285,7 +287,7 @@ def test_transfer_pulse_expectation_fails_a_run_that_transferred_nothing(tmp_pat
     )
     assert code == EXIT_OK
     summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
-    assert "yield = -1.1678280775470771e-11" in summary
+    assert "yield = -1.1678280784591467e-11" in summary
     assert "transfer_pulse = 118" in summary
     assert "expect.transfer_pulse = FAIL (measured nan, expected in [98, 120], reference)" in summary
 
@@ -712,6 +714,24 @@ def test_sweep_warnings_are_in_grid_order_for_any_worker_count(tmp_path, monkeyp
     )
 
 
+def test_sweep_shows_each_point_library_warning_for_any_worker_count(tmp_path, monkeypatch, capsys):
+    """Every point shows its own short-period warning as one line prefixed with
+    its assignments, whatever its worker process has shown before, so the
+    stderr of two workers is that of one, byte for byte."""
+    pulses = ("2", "3", "4", "5", "6", "7")
+    argv = ("sweep", "--scenario", "fig6sin", "--set", "train.T=5", "--axis1", f"train.N={','.join(pulses)}")
+    err = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("COMB_LAMBDA_THREADS", workers)
+        assert run_cli(*argv, "--out", str(tmp_path / workers)) == EXIT_OK
+        err[workers] = capsys.readouterr().err
+    assert err["2"] == err["1"] == "".join(
+        f"warning: train.N={n}: pulse period T = 5 is below 50*tau = 9.9; "
+        "window truncation tails start to matter\n"
+        for n in pulses
+    )
+
+
 def test_chirp_outperforms_plain_comb_in_sweep(tmp_path):
     out = tmp_path / "out"
     run_cli(
@@ -840,16 +860,20 @@ def test_integration_failure_exits_with_code_3(tmp_path, capsys, monkeypatch):
 
 def test_guard_failure_on_a_long_train_stops_the_carry_at_its_block(tmp_path, capsys, monkeypatch):
     # fig3 at N = 200,000 fails its trace guard at pulse 21 (t = 21 T); the
-    # carry crosses one gap per carried pulse, so counting them bounds the carry
+    # carry maps each carried pulse end by one matrix-vector product, the only
+    # np.dot in dynamics with a vector operand, so counting them bounds the carry
     carried = []
-    apply_free = dynamics._apply_free
 
-    def counting_apply_free(v, *args):
-        if v.ndim == 1:
-            carried.append(1)
-        return apply_free(v, *args)
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(dynamics, "_apply_free", counting_apply_free)
+        def dot(self, a, b, *args, **kwargs):
+            if np.ndim(b) == 1:
+                carried.append(1)
+            return np.dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "np", CountingNumpy())
     out = tmp_path / "out"
     code = run_cli(
         "run", "--scenario", "fig3", "--set", "train.N=200000",
@@ -864,8 +888,36 @@ def test_guard_failure_on_a_long_train_stops_the_carry_at_its_block(tmp_path, ca
     w = preset.icfg.window_sigmas * preset.cfg.tau
     steps = math.ceil(2.0 * w / dynamics.resolve_step(preset.icfg, preset.cfg, preset.sys))
     block = dynamics._BLOCK_BYTES // (72 * (steps + 1))
-    assert len(carried) <= 21 + 1 + block
+    assert 21 + 1 <= len(carried) <= 21 + 1 + block
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--scenario", "fig3", "--set", "train.N=6400"),
+        ("sweep", "--scenario", "fig4", "--axis1", "train.N=2,3"),
+        ("spectrum", "--scenario", "fig6sin"),
+        ("calibrate-fig4", "--quick"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    """An --out below a regular file exits 2 before the verb propagates, scans
+    or synthesizes anything, and nothing is written."""
+    monkeypatch.setenv("COMB_LAMBDA_THREADS", "1")  # sweep points run in this process
+    work = []
+    for name in ("propagate", "calibrate_fig4", "_surrogate_spectrum"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: work.append(name))
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    assert run_cli(*argv, "--out", str(blocker / "x")) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: --out {blocker / 'x'}: {blocker} is not a writable directory\n"
+    )
+    assert work == []
+    assert [path.name for path in tmp_path.iterdir()] == ["file"] and blocker.read_bytes() == b""
+
 
 # --- validate-rates verb ------------------------------------------------------------
 
@@ -1070,9 +1122,9 @@ def test_calibrate_quick_text_is_pinned(tmp_path, capsys):
         "tau = 0.19800000000000001\n"
         "period = 14005.2539\n"
         "n_pulses = 118\n"
-        "final_yield = 0.97349130292458363\n"
+        "final_yield = 0.97349130292458408\n"
         "transfer_pulse = 109\n"
-        "max_rho22 = 0.1212099068378298\n"
+        "max_rho22 = 0.12120990683782989\n"
     )
     assert (tmp_path / "calibration.csv").read_bytes() == (
         b"tau,period,peak_yield,peak_pulse,transfer_pulse\n"
@@ -1092,9 +1144,9 @@ def test_calibrate_full_text_is_pinned(tmp_path, capsys):
         "tau = 0.19800000000000001\n"
         "period = 14005.2539\n"
         "n_pulses = 118\n"
-        "final_yield = 0.97349130292458363\n"
+        "final_yield = 0.97349130292458408\n"
         "transfer_pulse = 109\n"
-        "max_rho22 = 0.1212099068378298\n"
+        "max_rho22 = 0.12120990683782989\n"
     )
     assert (tmp_path / "calibration.csv").read_bytes() == (
         b"tau,period,peak_yield,peak_pulse,transfer_pulse\n"

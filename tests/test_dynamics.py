@@ -719,6 +719,34 @@ def test_pulse_end_row_is_the_state_the_gap_map_acts_on(monkeypatch, phases):
         assert carried.tobytes() == traj.data[end + icfg.gap_samples + 1].tobytes()
 
 
+@pytest.mark.parametrize("period, phases", [(25.0, False), (25.0, True), (3.3, True)])
+def test_carry_crosses_every_gap_on_the_period_map(monkeypatch, period, phases):
+    """The carry maps each pulse end by P = M G, with G formed once by one gap
+    map of the identity, and each block's scan forms its pulse starts by one
+    batched gap map of the ends before them.  A 15-pulse train in blocks of 4
+    (1 + 4 + 4 + 4 + 2) calls the gap map five times, not once per crossing
+    (14); with 3.3 the windows leave no gap, but the coherences still turn."""
+    run = _desk_run(15, period, interpulse_phases=phases)
+    _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)
+    shapes = []
+    apply_free = dynamics._apply_free
+    monkeypatch.setattr(dynamics, "_apply_free", lambda v, f: shapes.append(v.shape) or apply_free(v, f))
+    quiet_propagate(*run)
+    assert shapes == [(9, 9), (9, 4), (9, 4), (9, 4), (9, 2)]
+
+
+def test_scan_and_rows_form_pulse_starts_in_one_place(monkeypatch):
+    run = _desk_run(15, gap_samples=3, interpulse_phases=True)
+    _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)
+    blocks = []
+    pulse_starts = dynamics._pulse_starts
+    monkeypatch.setattr(dynamics, "_pulse_starts", lambda *args: blocks.append(1) or pulse_starts(*args))
+    traj = quiet_propagate(*run)
+    assert len(blocks) == 5  # the scan of each block
+    traj.data
+    assert len(blocks) == 10  # and the row former of each block
+
+
 def test_guard_names_the_first_failing_pulse_of_a_block(monkeypatch):
     rho0, cfg, sys_, rates, icfg = _desk_run(15)
     _set_block_pulses(monkeypatch, cfg, sys_, icfg, 4)
