@@ -8,108 +8,16 @@ with spontaneous emission and collisional dephasing; the quantum yield is the
 population accumulated in |3>.
 """
 
-from .core import (
-    DecoherenceRates,
-    DensityMatrix,
-    FrequencyUnit,
-    LevelSystem,
-    RateCheckMode,
-    RateRelationViolation,
-    RateReport,
-    Trajectory,
-    hermitian_defect,
-    trace,
-    validate_rates,
-)
-from .dynamics import (
-    IntegrationError,
-    IntegratorConfig,
-    NegativePopulation,
-    TraceDrift,
-    free_evolution,
-    propagate,
-    quantum_yield,
-    steady_state_yield,
-)
-from .field import (
-    Modulation,
-    PulseTrainConfig,
-    field_amplitude,
-    phase_modulation,
-)
-from .scenarios import (
-    CalibrationPoint,
-    CalibrationResult,
-    Expectation,
-    ExpectationResult,
-    PRESET_NAMES,
-    ScenarioPreset,
-    calibrate_fig4,
-    evaluate_expectations,
-    get_preset,
-    run_preset,
-    transfer_pulse,
-)
-from .spectrum import (
-    CombStructureReport,
-    InsufficientPeaks,
-    NyquistViolation,
-    PeakList,
-    SpectrumResult,
-    compute_spectrum,
-    extract_peaks,
-    nyquist_limit,
-    sample_field,
-    tooth_fwhm,
-    verify_comb_structure,
-)
+from . import core, dynamics, field, scenarios, spectrum
+from .core import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .field import *  # noqa: F403
+from .scenarios import *  # noqa: F403
+from .spectrum import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationPoint",
-    "CalibrationResult",
-    "CombStructureReport",
-    "DecoherenceRates",
-    "DensityMatrix",
-    "Expectation",
-    "ExpectationResult",
-    "FrequencyUnit",
-    "InsufficientPeaks",
-    "IntegrationError",
-    "IntegratorConfig",
-    "LevelSystem",
-    "Modulation",
-    "NegativePopulation",
-    "NyquistViolation",
-    "PRESET_NAMES",
-    "PeakList",
-    "PulseTrainConfig",
-    "RateCheckMode",
-    "RateRelationViolation",
-    "RateReport",
-    "ScenarioPreset",
-    "SpectrumResult",
-    "TraceDrift",
-    "Trajectory",
-    "__version__",
-    "calibrate_fig4",
-    "compute_spectrum",
-    "evaluate_expectations",
-    "extract_peaks",
-    "field_amplitude",
-    "free_evolution",
-    "get_preset",
-    "hermitian_defect",
-    "nyquist_limit",
-    "phase_modulation",
-    "propagate",
-    "quantum_yield",
-    "run_preset",
-    "sample_field",
-    "steady_state_yield",
-    "tooth_fwhm",
-    "trace",
-    "transfer_pulse",
-    "validate_rates",
-]
+# each public name is declared once, in its own module's __all__
+__all__ = sorted(
+    {"__version__"}.union(*(module.__all__ for module in (core, dynamics, field, scenarios, spectrum)))
+)

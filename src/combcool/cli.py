@@ -14,8 +14,9 @@ a flat ``key = value`` configuration file as written by ``run
 --dump-config``; ``--set key=value`` overrides individual fields of either.
 ``run``, ``sweep`` and ``validate-rates`` apply ``--rates-mode`` (a
 RateCheckMode value) through core.validate_rates, the one place the
-rate-relation policy lives.  Exit codes: 0 success, 2 configuration error,
-3 integration failure, 4 rate relation violated under enforcement.  An
+rate-relation policy lives.  Exit codes: 0 success, 1 stdout closed by its
+reader (no message), 2 configuration error, 3 integration failure, 4 rate
+relation violated under enforcement.  An
 ``--out`` that cannot become a directory is a configuration error before
 any work starts, and a library warning prints as one ``warning:`` line on
 stderr.  All emitted files are UTF-8 with LF line endings; CSV numbers
@@ -34,7 +35,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,7 @@ from . import spectrum as spectrum_mod
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
 EXIT_RATES = 4
@@ -575,19 +577,19 @@ def summary_lines(resolved: ResolvedRun, traj: Trajectory) -> list[str]:
     return lines
 
 
-def _surrogate_spectrum(cfg: PulseTrainConfig):
-    """Synthesize and transform a truncated copy of the configured train.
+def _surrogate_spectrum(cfg: PulseTrainConfig, window_sigmas: float):
+    """Synthesize and transform the surrogate train, each pulse cut at window_sigmas * tau.
 
-    The copy keeps at most SPECTRUM_PULSES pulses and no padding.  The sample
-    rate is SPECTRUM_RATE_MARGIN times the admissible minimum, rounded up to
-    an integer number of samples per period so the sampled train is exactly
-    periodic and every tooth lands on a bin.  The sample count is checked
-    against SPECTRUM_MAX_SAMPLES before anything is synthesized.
+    cmd_spectrum has cut the train to at most SPECTRUM_PULSES pulses; there is
+    no padding.  The sample rate is SPECTRUM_RATE_MARGIN times the admissible
+    minimum, rounded up to an integer number of samples per period so the
+    sampled train is exactly periodic and every tooth lands on a bin.  The
+    sample count is checked against SPECTRUM_MAX_SAMPLES before anything is
+    synthesized.
     """
-    cfg_s = replace(cfg, N=min(cfg.N, SPECTRUM_PULSES))
-    rate = SPECTRUM_RATE_MARGIN * spectrum_mod.nyquist_limit(cfg_s)
-    rate = math.ceil(rate * cfg_s.T) / cfg_s.T
-    t_total = cfg_s.N * cfg_s.T
+    rate = SPECTRUM_RATE_MARGIN * spectrum_mod.nyquist_limit(cfg)
+    rate = math.ceil(rate * cfg.T) / cfg.T
+    t_total = cfg.N * cfg.T
     projected = round(t_total * rate)
     if projected > SPECTRUM_MAX_SAMPLES:
         raise ConfigError(
@@ -596,8 +598,8 @@ def _surrogate_spectrum(cfg: PulseTrainConfig):
             "--set train.omega_L=25 --set train.tau=0.7 (the spacing laws "
             "only depend on frequency ratios)"
         )
-    series = spectrum_mod.sample_field(cfg_s, rate, t_total)
-    return cfg_s, spectrum_mod.compute_spectrum(series, rate)
+    series = spectrum_mod.sample_field(cfg, rate, t_total, window_sigmas)
+    return spectrum_mod.compute_spectrum(series, rate)
 
 
 def write_spectrum_csv(path: Path, spec) -> None:
@@ -840,13 +842,15 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(
             f"--threshold: expected a number strictly between 0 and 1, got {args.threshold!r}"
         )
-    resolved = resolve_scenario(args.scenario, tuple(args.set or ()))
-    _, cfg, _, _, _ = objects_from_tree(resolved.tree)
+    tree = resolve_scenario(args.scenario, tuple(args.set or ())).tree
+    # the surrogate is the configured train cut to its first pulses: one train is built
+    tree["train"]["N"] = min(tree["train"]["N"], SPECTRUM_PULSES)
+    _, cfg, _, icfg, _ = objects_from_tree(tree)
     out = _out_dir(args.out)
-    cfg_s, spec = _surrogate_spectrum(cfg)
+    spec = _surrogate_spectrum(cfg, icfg.window_sigmas)
     peaks = spectrum_mod.extract_peaks(spec, args.threshold)
     try:
-        report = spectrum_mod.verify_comb_structure(peaks, cfg_s, spec.resolution)
+        report = spectrum_mod.verify_comb_structure(peaks, cfg, spec.resolution)
     except spectrum_mod.InsufficientPeaks as exc:
         raise ConfigError(
             f"{exc}; the analyzed train has no comb structure to verify"
@@ -1019,7 +1023,14 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _warning_line()
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # so a closed reader shows here, not at exit
+            return code
+        except BrokenPipeError:
+            # the reader of stdout is gone: send what is left to devnull, as
+            # the Python signal docs advise, and exit 1 without a message
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
         except (ConfigError, OSError) as exc:  # OSError: an unreadable config or unwritable --out
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

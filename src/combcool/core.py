@@ -34,7 +34,6 @@ __all__ = [
     "RateRelationViolation",
     "RateReport",
     "Trajectory",
-    "config_tree",
     "hermitian_defect",
     "trace",
     "validate_rates",

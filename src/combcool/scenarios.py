@@ -38,10 +38,11 @@ angular frequency.
 The strong-drive pulse duration and repetition period are not externally
 given; they are fixed by :func:`calibrate_fig4`, a scripted scan that selects
 the (tau, period) pair producing stepwise transfer completing in 109 +/- 10
-pulses.  The scan integrates one pulse-end map per duration
+pulses.  The scan integrates one pulse-end map M per duration
 (dynamics._window_end_map, no fine-state history) and scores each candidate
-period from the powers of its 9x9 one-period map (pulse map, then the
-inter-pulse rotation), formed by repeated doubling.  The chosen values are
+period from the pulse ends that propagate carries, by the period map
+P = M G with G the inter-pulse rotation: M rho0, then its images under the
+powers of P, formed by repeated doubling.  The chosen values are
 frozen into module constants and marked with ``derived`` provenance on
 the corresponding expectations.
 """
@@ -157,15 +158,25 @@ PROVENANCE_DERIVED = "derived"
 # Expectations
 # ---------------------------------------------------------------------------
 
+def _measured_transfer_pulse(traj: Trajectory) -> float:
+    # NaN, which fails every band, when nothing was transferred: then
+    # transfer_pulse falls back to the pulse count, which measures nothing
+    pulse = transfer_pulse(traj)
+    return float(pulse) if traj.pulse_ends[-1, 2] > 0.0 else math.nan
+
+
+#: The reader of each quantity an Expectation may target (measure_quantity).
+_READOUTS = {
+    "final_yield": lambda traj: float(quantum_yield(traj)),
+    "steady_yield": lambda traj: float(steady_state_yield(traj)),
+    "max_rho22": lambda traj: float(traj.metadata["diagnostics"]["max_rho22"]),
+    "transfer_pulse": _measured_transfer_pulse,
+    "final_rho11": lambda traj: traj.final_state.rho11,
+    "final_coherence13": lambda traj: float(abs(traj.final_state.rho13)),
+}
+
 #: Quantities an Expectation may target; measured by measure_quantity().
-EXPECTATION_QUANTITIES = (
-    "final_yield",
-    "steady_yield",
-    "max_rho22",
-    "transfer_pulse",
-    "final_rho11",
-    "final_coherence13",
-)
+EXPECTATION_QUANTITIES = tuple(_READOUTS)
 
 
 @dataclass(frozen=True)
@@ -239,22 +250,9 @@ class ExpectationResult:
 
 def measure_quantity(traj: Trajectory, quantity: str) -> float:
     """Read one expectation quantity off a finished trajectory."""
-    if quantity == "final_yield":
-        return float(quantum_yield(traj))
-    if quantity == "steady_yield":
-        return float(steady_state_yield(traj))
-    if quantity == "max_rho22":
-        return float(traj.metadata["diagnostics"]["max_rho22"])
-    if quantity == "transfer_pulse":
-        # NaN, which fails every band, when nothing was transferred: then
-        # transfer_pulse falls back to the pulse count, which measures nothing
-        pulse = transfer_pulse(traj)
-        return float(pulse) if traj.pulse_ends[-1, 2] > 0.0 else math.nan
-    if quantity == "final_rho11":
-        return traj.final_state.rho11
-    if quantity == "final_coherence13":
-        return float(abs(traj.final_state.rho13))
-    raise ValueError(f"unknown quantity {quantity!r}")
+    if quantity not in _READOUTS:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    return _READOUTS[quantity](traj)
 
 
 def evaluate_expectations(
@@ -580,6 +578,16 @@ def run_preset(preset: ScenarioPreset) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _first_above_95(values: np.ndarray) -> int:
+    """First pulse (1-based) whose value exceeds 95% of the last value, or the
+    pulse count when the last value is not positive."""
+    final = values[-1]
+    if not final > 0.0:
+        return int(values.size)
+    # the last value always qualifies
+    return int(np.nonzero(values > 0.95 * final)[0][0]) + 1
+
+
 def transfer_pulse(traj: Trajectory) -> int:
     """First pulse (1-based) after which the target population exceeds 95%
     of its final value.
@@ -590,11 +598,7 @@ def transfer_pulse(traj: Trajectory) -> int:
     ends = traj.pulse_ends[:, 2]
     if ends.size == 0:
         raise ValueError("trajectory contains no completed pulses")
-    final = ends[-1]
-    if not final > 0.0:
-        return int(ends.size)
-    # the last end always qualifies
-    return int(np.nonzero(ends > 0.95 * final)[0][0]) + 1
+    return _first_above_95(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -659,27 +663,23 @@ def _staircase_stats(
 ) -> tuple[float, int, int]:
     """(peak yield, pulse count at the first yield peak, transfer pulse).
 
-    Forms the one-period map P = R(period) @ pulse_map once, as one gap map
-    of zero length (the inter-pulse rotation R applied to the columns of the
-    pulse map), takes the powers P**k of the pure initial state by repeated
-    doubling into one buffer, and reads the target population at each pulse
-    end as row 2 of pulse_map against them.  The start vector and the zero
-    rates are module constants shared by every candidate.  Bookkeeping stops
-    at the first peak: the last running maximum before the yield falls by
-    more than 0.05 below it.
+    Carries the pulse ends the way propagate does: the period map P = M R,
+    with R the inter-pulse rotation as a 9x9 matrix (one gap map of zero
+    length applied to the identity) and M the pulse map, and the pulse ends
+    P**k M rho0 by repeated doubling into one buffer; the target population
+    is component 2 (rho33) of each end.  The start vector and the zero rates are module
+    constants shared by every candidate.  Bookkeeping stops at the first
+    peak: the last running maximum before the yield falls by more than 0.05
+    below it.  The transfer pulse is transfer_pulse's rule up to that peak.
     """
     rotation = _gap_factors(0.0, _NO_RATES, _interpulse_angles(period, sys))
-    period_map = _apply_free(pulse_map, rotation)
-    rows = _map_powers(period_map, _STAIRCASE_START, n_max)
-    p33 = rows @ pulse_map[2]
+    period_map = np.dot(pulse_map, _apply_free(np.eye(9), rotation))
+    p33 = _map_powers(period_map, np.dot(pulse_map, _STAIRCASE_START), n_max)[:, 2]
     run_max = np.maximum.accumulate(p33)
     falls = np.nonzero(run_max - p33 > 0.05)[0]
     upto = int(falls[0]) if falls.size else n_max
     peak_pulse = int(p33[:upto].argmax()) + 1
-    peak = float(p33[peak_pulse - 1])
-    hits = np.nonzero(p33[:peak_pulse] > 0.95 * peak)[0]
-    transfer = int(hits[0]) + 1 if hits.size else peak_pulse
-    return peak, peak_pulse, transfer
+    return float(p33[peak_pulse - 1]), peak_pulse, _first_above_95(p33[:peak_pulse])
 
 
 def _refine_period(
@@ -721,7 +721,7 @@ def calibrate_fig4(quick: bool = False) -> CalibrationResult:
 
     For every pulse duration on CALIBRATION_TAU_GRID the single-pulse
     superoperator is integrated once, as its end map alone (no fine states
-    are kept); a candidate period then costs one 9x9 one-period map and its
+    are kept); a candidate period then costs one 9x9 period map P = M G and its
     powers by repeated doubling (about log2(CALIBRATION_PROBE_PULSES) matrix
     products), so the period can be refined finely around
     CALIBRATION_PERIOD_BASE.  A candidate is feasible when its first yield

@@ -52,6 +52,7 @@ PUBLIC_NAMES = [
     "trace",
     "transfer_pulse",
     "validate_rates",
+    "verify_comb_structure",
 ]
 
 

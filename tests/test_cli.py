@@ -838,6 +838,31 @@ def test_spectrum_verb_refuses_oversized_synthesis(tmp_path, capsys):
     assert "desk-scale" in capsys.readouterr().err
 
 
+def test_spectrum_builds_one_train_and_warns_once(tmp_path, capsys):
+    """The surrogate is the configured train cut in the tree, not a second build."""
+    code = run_cli(
+        "spectrum", "--scenario", "fig6sin", "--set", "train.T=2.2", "--set", "train.N=40",
+        "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: pulse period T = 2.2 is below 50*tau = 9.9; window truncation tails start to matter\n"
+    )
+
+
+def test_spectrum_synthesizes_the_configured_window(tmp_path):
+    spectra = []
+    for sigmas in ("3", "6"):
+        out = tmp_path / sigmas
+        code = run_cli(
+            "spectrum", "--scenario", "fig4", *DESK_SETTINGS,
+            "--set", f"integrator.window_sigmas={sigmas}", "--threshold", "0.02", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        spectra.append((out / "spectrum.csv").read_bytes())
+    assert spectra[0] != spectra[1]
+
+
 # --- integration failure --------------------------------------------------------------
 
 
@@ -1128,7 +1153,7 @@ def test_calibrate_quick_text_is_pinned(tmp_path, capsys):
     )
     assert (tmp_path / "calibration.csv").read_bytes() == (
         b"tau,period,peak_yield,peak_pulse,transfer_pulse\n"
-        b"0.19800000000000001,14005.2539,0.97349130292458053,118,109\n"
+        b"0.19800000000000001,14005.2539,0.9734913029245833,118,109\n"
     )
 
 
@@ -1150,20 +1175,20 @@ def test_calibrate_full_text_is_pinned(tmp_path, capsys):
     )
     assert (tmp_path / "calibration.csv").read_bytes() == (
         b"tau,period,peak_yield,peak_pulse,transfer_pulse\n"
-        b"0.14000000000000001,14005.371599999999,0.064277744967908626,74,70\n"
-        b"0.20999999999999999,14005.2613,0.90442522478117526,78,76\n"
-        b"0.34999999999999998,14005.3989,0.60309806983754266,9,9\n"
-        b"0.69999999999999996,14005.63565,0.44085349170988403,12,11\n"
-        b"0.17999999999999999,14005.24295,0.99879862053849089,226,200\n"
-        b"0.186,14005.24605,0.99909077749069763,188,163\n"
-        b"0.192,14005.249449999999,0.99277445068306147,149,139\n"
-        b"0.19800000000000001,14005.2539,0.97349130292458053,118,109\n"
-        b"0.20399999999999999,14005.2583,0.94014897149169641,95,93\n"
-        b"0.216,14005.268700000001,0.8716304053490479,63,61\n"
-        b"0.222,14005.271299999999,0.83984442493295641,54,53\n"
-        b"0.22800000000000001,14005.33915,0.87095979271042601,27,26\n"
+        b"0.14000000000000001,14005.371599999999,0.064277744967908682,74,70\n"
+        b"0.20999999999999999,14005.2613,0.90442522478117593,78,76\n"
+        b"0.34999999999999998,14005.3989,0.60309806983754288,9,9\n"
+        b"0.69999999999999996,14005.63565,0.44085349170988408,12,11\n"
+        b"0.17999999999999999,14005.24295,0.998798620538488,226,200\n"
+        b"0.186,14005.24605,0.9990907774906963,188,163\n"
+        b"0.192,14005.249449999999,0.99277445068305692,149,139\n"
+        b"0.19800000000000001,14005.2539,0.9734913029245833,118,109\n"
+        b"0.20399999999999999,14005.2583,0.94014897149169696,95,93\n"
+        b"0.216,14005.268700000001,0.87163040534904801,63,61\n"
+        b"0.222,14005.271299999999,0.83984442493295575,54,53\n"
+        b"0.22800000000000001,14005.33915,0.8709597927104259,27,26\n"
         b"0.23400000000000001,14005.3372,0.88873498517176108,26,25\n"
-        b"0.23999999999999999,14005.335149999999,0.89391704427963525,25,24\n"
+        b"0.23999999999999999,14005.335149999999,0.89391704427963581,25,24\n"
     )
 
 
@@ -1215,6 +1240,25 @@ def test_python_dash_m_entry_point(tmp_path, subprocess_pythonpath):
     )
     assert proc.returncode == 0, proc.stderr
     assert "fig6cos" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_without_a_message(monkeypatch, subprocess_pythonpath, unbuffered):
+    """A reader that closed stdout first is not a configuration error."""
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "combcool", "list-scenarios"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_run_outputs_are_identical_across_blas_thread_counts(tmp_path, subprocess_pythonpath):

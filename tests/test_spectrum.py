@@ -1,6 +1,7 @@
 """Spectrum tests: Parseval, tooth placement, sideband sets, linewidths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,3 +231,60 @@ def test_peak_threshold_is_recorded():
     assert peaks.threshold_used == pytest.approx(0.05)
     lower = extract_peaks(spec, 0.001)
     assert lower.n_peaks >= peaks.n_peaks
+
+
+# --- input checks and edge branches ---------------------------------------------------
+
+
+def _bins(intensities, resolution=1.0) -> SpectrumResult:
+    """A spectrum on bins 0, 1, 2, ... of the given intensities."""
+    intensities = np.asarray(intensities, dtype=float)
+    return SpectrumResult(np.arange(intensities.size) * resolution, intensities, resolution)
+
+
+# Each check of the spectrum module, and the message it raises.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: SpectrumResult(np.arange(3.0), np.ones(2), 1.0),
+                     "frequencies and intensities must be parallel 1-D arrays", id="result_shapes"),
+        pytest.param(lambda: SpectrumResult(np.zeros(1), np.ones(1), 1.0),
+                     "a spectrum needs at least two bins", id="result_bins"),
+        pytest.param(lambda: SpectrumResult(np.arange(3.0), np.ones(3), 0.0),
+                     "resolution must be positive", id="result_resolution"),
+        pytest.param(lambda: SpectrumResult(np.array([0.0, 1.0, 1.0]), np.ones(3), 1.0),
+                     "frequencies must be strictly increasing", id="result_order"),
+        pytest.param(lambda: SpectrumResult(np.array([0.0, 1.0, 3.0]), np.ones(3), 1.0),
+                     "frequency grid must be uniform at the stated resolution", id="result_grid"),
+        pytest.param(lambda: _bins([1.0, -1.0, 1.0]),
+                     "intensities must be non-negative", id="result_intensities"),
+        pytest.param(lambda: PeakList(np.zeros(2), np.ones(3), 0.5),
+                     "peak arrays must be parallel 1-D arrays", id="peak_shapes"),
+        pytest.param(lambda: compute_spectrum(np.ones(1), 1.0),
+                     "series must be a 1-D array with at least two samples", id="series"),
+        pytest.param(lambda: compute_spectrum(np.ones(4), 0.0),
+                     "sample_rate must be positive", id="sample_rate"),
+        pytest.param(lambda: extract_peaks(_bins([0.0, 1.0, 0.0]), 0.0),
+                     "threshold_fraction must lie strictly between 0 and 1", id="threshold"),
+        pytest.param(lambda: tooth_fwhm(_bins([0.0, 1.0, 2.0, 1.5]), 2.0),
+                     "tooth right flank never falls below half maximum", id="right_flank"),
+        pytest.param(lambda: tooth_fwhm(_bins([1.5, 2.0, 1.0, 0.0]), 1.0),
+                     "tooth left flank never falls below half maximum", id="left_flank"),
+    ],
+)
+def test_spectrum_checks_name_their_input(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0, 3.0], ids=["climbs_right", "at_top", "climbs_left"])
+def test_tooth_fwhm_climbs_to_the_nearest_maximum(omega):
+    # half maximum 1.5 is crossed at 1.25 and 2.75
+    assert tooth_fwhm(_bins([0.0, 1.0, 3.0, 1.0, 0.0], 0.5), omega * 0.5) == 0.75
+
+
+def test_peak_beside_an_empty_bin_keeps_its_bin():
+    """A zero neighbour has no logarithm: the peak stays on its bin, at its bin value."""
+    peaks = extract_peaks(_bins([0.0, 0.0, 2.0, 1.0, 0.5], 0.5), 0.5)
+    assert peaks.peak_frequencies.tolist() == [1.0]
+    assert peaks.peak_intensities.tolist() == [2.0]
