@@ -415,8 +415,11 @@ class Trajectory:
         """The last m >= 1 rows of data, an (m, 9) view of C-ordered rows.
 
         Only the trailing blocks that hold them are formed, or none when the
-        last row alone is read and it is the last pulse end.
+        last row alone is read and it is the last pulse end.  Raises
+        ValueError unless 1 <= m <= n_samples.
         """
+        if not 1 <= m <= self.n_samples:
+            raise ValueError(f"last_rows needs 1 <= m <= {self.n_samples}, got {m}")
         ends = self.pulse_end_indices
         if m == 1 and ends.size and ends[-1] == self.n_samples - 1:
             return self.pulse_ends[-1:]

@@ -30,24 +30,24 @@ superoperator in pulse-local time.  The propagator therefore integrates the
 the interior window when there is more than one pulse) and applies the
 resulting linear maps to every pulse, in blocks of pulses within a fixed
 byte budget of fine states.  The train is one stroboscopic map: each gap
-applies the gap map G and each pulse the window's end map M, so pulse ends
-follow the period map P = M G, formed once per window map.  One loop
-carries and scans every block, the first of them pulse 0 alone on the
-first window, and keeps only the pulse ends, one product with P each.  A
-block's pulse starts are one batched gap map of the ends before them
-(_pulse_starts), for the scan and again wherever the returned trajectory
-forms its rows, block by block; the ends determine every sample.  The
-equations are linear in rho, so this is algebraically identical to
-integrating each pulse separately; the tests pin it against that per-pulse
-integration.
+applies the gap map G and each pulse the window's end map M, all three
+9x9 matrices, so pulse ends follow the period map P = M G, formed once per
+window map.  One loop carries and scans every block, the first of them
+pulse 0 alone on the first window, and keeps only the pulse ends, one
+product with P each.  A block's pulse starts are one product of its ends
+before them with G (_pulse_starts), for the scan and again wherever the
+returned trajectory forms its rows, block by block; the ends determine
+every sample.  The equations are linear in rho, so this is algebraically
+identical to integrating each pulse separately; the tests pin it against
+that per-pulse integration, to rounding.
 
 The window map does not depend on the pulse count, and depends on the
 period only through the clipped window span, so the last map built stays in
 a one-slot memo keyed on everything the build reads: a sweep over T or N
 builds it once.  Inside a block only the population rows of the map are
 applied to every fine state (the guards read nothing else); all nine
-components are formed only for the recorded samples, and each in-gap sample
-offset is one gap map over the block's stacked pulse ends.
+components are formed only for the recorded samples, the window's rows
+and each in-gap sample's G_dt M, in one product with the block's starts.
 """
 
 from __future__ import annotations
@@ -293,64 +293,37 @@ def _free_factors(dt: float, rates: DecoherenceRates):
     return E2, r21, r23, f12, f13, f23
 
 
-#: Rows of [v * scale, lost] gathered into the gap map's terms.  With phases:
-#: left addends (rows 0 and 2, then x of each coherence pair), right addends
-#: (lost twice, then y), minuends (x) and subtrahends (y).  Without: rows 0
-#: and 2, then lost twice.
-_TURN_ROWS = np.array([0, 2, 3, 5, 7, 9, 9, 4, 6, 8, 3, 5, 7, 4, 6, 8])
-_DECAY_ROWS = np.array([0, 2, 9, 9])
+def _gap_map(dt: float, rates: DecoherenceRates, angles=None) -> np.ndarray:
+    """The gap map G over a gap of length dt, as a 9x9 matrix.
 
-def _gap_factors(dt: float, rates: DecoherenceRates, phases) -> tuple:
-    """(1 - E2, gathered rows, addend count, scale, coef) of one gap map.
-
-    scale multiplies the nine rows; coef multiplies the gathered rows into
-    the terms: 1 for rows 0 and 2, r21 and r23 for lost, and sin, cos, cos,
-    sin of each angle for the pair terms s x, c y, c x and s y.
+    The excited population keeps E2 of itself, and the ground populations
+    gain r21 and r23 of what it loses; each coherence pair (x, y) decays by
+    its factor f (f12, f13, f23) and, when angles (rho12, rho13, rho23) are
+    given, turns by its angle to f (c x - s y, s x + c y), with c and s the
+    math.cos and math.sin of the angle.  Each entry is what the per-row map
+    gives for the identity, up to the sign of zero entries.
     """
     E2, r21, r23, f12, f13, f23 = _free_factors(dt, rates)
-    scale = np.array([1.0, E2, 1.0, f12, f12, f13, f13, f23, f23])
-    if phases is None:
-        return 1.0 - E2, _DECAY_ROWS, 2, scale, np.array([1.0, 1.0, r21, r23])
-    cos = [math.cos(a) for a in phases]
-    sin = [math.sin(a) for a in phases]
-    coef = np.array([1.0, 1.0, *sin, r21, r23, *cos, *cos, *sin])
-    return 1.0 - E2, _TURN_ROWS, 5, scale, coef
+    gap_map = np.diag([1.0, E2, 1.0, f12, f12, f13, f13, f23, f23])
+    gap_map[0, 1] = r21 * (1.0 - E2)
+    gap_map[2, 1] = r23 * (1.0 - E2)
+    if angles is not None:
+        for i, a, f in zip((3, 5, 7), angles, (f12, f13, f23)):
+            c, s = math.cos(a) * f, math.sin(a) * f
+            gap_map[i:i + 2, i:i + 2] = ((c, -s), (s, c))
+    return gap_map
 
 
-def _apply_free(v: np.ndarray, factors: tuple) -> np.ndarray:
-    """Gap map applied to a (9,) state vector or to each column of a (9, m) stack.
+def _apply_free(states: np.ndarray, gap_map: np.ndarray) -> np.ndarray:
+    """The gap map applied to a (9,) state or to each row of an (m, 9) stack.
 
-    factors is _gap_factors(dt, rates, phases) of the gap; a caller that
-    crosses the same gap many times forms it once and passes it each time.
-
-    Returns a new C-ordered array and leaves v as it is.  Every element is
-    what the per-row map gives, by the same IEEE operations in the same
-    order: out = v * E2 for row 1 and v * f for the coherence rows (f12,
-    f13, f23), then with lost = v[1] * (1 - E2), out[0] = v[0] + r21 * lost
-    and out[2] = v[2] + r23 * lost, and each pair (x, y) of scaled
-    coherences turns to (c x - s y, s x + c y) with c and s the math.cos and
-    math.sin of its angle, both from the old pair.  (Which NaN a sum of two
-    NaNs returns is left open by IEEE 754, and numpy's loops differ there;
-    the per-row map itself does between a (9,) state and a stack.)
-
-    All nine rows are scaled in one product into a buffer whose tenth row
-    is lost.  One gather and one product then form every term (rows 0 and 2
-    enter as v * 1.0 * 1.0, which is v), and one sum and one difference
-    write rows 0, 2, 4, 6, 8 and 3, 5, 7 from terms formed before either
-    write; the rotating form (five addend pairs) also writes the differences.
+    No row of G has more than two nonzero entries, so each entry of the
+    product is one rounded sum of two rounded products in any unfused
+    order: a state and a stack get the same bits, and without rates those
+    of the per-row map.  einsum sums so; a BLAS kernel fuses the
+    multiply-add and rounds otherwise.
     """
-    loss, rows, n_add, scale, coef = factors
-    if v.ndim == 2:
-        scale, coef = scale[:, None], coef[:, None]
-    buf = np.empty((10,) + v.shape[1:])
-    out = buf[:9]
-    np.multiply(v, scale, out)
-    buf[9] = v[1] * loss
-    terms = coef * buf[rows]
-    np.add(terms[:n_add], terms[n_add:2 * n_add], buf[0:2 * n_add:2])
-    if n_add == 5:
-        np.subtract(terms[10:13], terms[13:], buf[3:9:2])
-    return out
+    return np.einsum("...j,ij->...i", states, gap_map)
 
 
 def _map_powers(period_map: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -390,12 +363,13 @@ def free_evolution(rho: DensityMatrix, dt: float, rates: DecoherenceRates) -> De
 
     Populations follow the excited-state decay with branching gamma21:gamma23
     (identity when the total decay rate is zero); each coherence decays with
-    its own dephasing-plus-lifetime rate.  Composes exactly:
-    free_evolution(free_evolution(rho, s), t) == free_evolution(rho, s + t).
+    its own dephasing-plus-lifetime rate.  It is one product with the gap
+    map _gap_map(dt, rates) and composes to rounding:
+    free_evolution(free_evolution(rho, s), t) matches free_evolution(rho, s + t).
     """
     if dt < 0.0:
         raise ValueError(f"dt must be non-negative, got {dt!r}")
-    return DensityMatrix.from_vector(_apply_free(rho.to_vector(), _gap_factors(dt, rates, None)))
+    return DensityMatrix.from_vector(_apply_free(rho.to_vector(), _gap_map(dt, rates)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,59 +540,53 @@ def _scan_states(states: np.ndarray, times, trace_tol: float, pop_tol: float):
     return max_drift, pmin, float(p2.max())
 
 
-def _pulse_starts(v0, before, crossing):
+def _pulse_starts(v0, before, gap_map):
     """The start states of a block of pulses, one per row.
 
     before holds the ends of the pulses before them, or is None for pulse
     0's block, which starts from v0.  Each later start is the carried gap
-    map (factors crossing, None if the train crosses no gap) of the end
-    before it, one batched map bitwise equal to the per-pulse one.  The
-    scan of propagate and the row former _pulse_rows both take their
-    starts from here.
+    map G (None if the train crosses no gap) of the end before it, one
+    product for the block.  The scan of propagate and the row former
+    _pulse_rows both take their starts from here.
     """
     if before is None:
         return v0[None]
-    return before if crossing is None else np.ascontiguousarray(_apply_free(before.T, crossing).T)
+    return before if gap_map is None else _apply_free(before, gap_map)
 
 
-def _pulse_rows(v0, windows, crossing, offsets, gap_dts, T, w, block, ends, first):
+def _pulse_rows(v0, windows, gap_map, n_gap_samples, T, block, ends, first):
     """Yield (times, rows) of a propagated train's row blocks from row first
     to the train's last row.
 
     The train's pulse ends are ends; propagate binds the rest: the initial
-    vector v0, the (times, rows) records of the recorded samples of the
-    first and the interior window (pulse-local times and window-map rows),
-    the gap-map factors of the carried gap (None if the train crosses none)
-    and of each in-gap sample offset dt of gap_dts, the period T, the window
-    half-width w and the block size.  Pulse 0 is one block on the first
-    window; later pulses run in blocks of block pulses on the interior
-    window, as in the carry.  A block's starts come from _pulse_starts, as
-    in the scan.  One matrix product of the starts with the recorded rows
-    gives the recorded samples; each pulse's last row is its end (the state
-    the next gap map acts on), and each in-gap sample offset is one gap map
-    applied to the block's stacked pulse ends.  The train's last pulse
-    records no gap samples, and the first block formed leaves out its rows
-    before row first.
+    vector v0, the (local, offset, rows) records of the recorded samples of
+    the first and the interior window, the carried gap map G (None if the
+    train crosses no gap), the gap samples per pulse, the period T and the
+    block size.  A record holds each sample's map, stacked into rows, and
+    its pulse-local time local + offset: the window's samples at their grid
+    times with offset 0, then the in-gap samples G_dt M at w + dt.  Pulse 0
+    is one block on the first window; later pulses run in blocks of block
+    pulses on the interior window, as in the carry.  A block's starts come
+    from _pulse_starts, as in the scan, and one matrix product of the starts
+    with the recorded rows gives every recorded sample of the block.  Each
+    pulse's end row is then set to its carried end, the state the next gap
+    map acts on.  Pulse k's sample falls at (k T + local) + offset, the sum
+    of the per-pulse loop.  The train's last pulse records no gap samples,
+    and the first block formed leaves out its rows before row first.
     """
-    n_pulses, n_gap_samples = len(ends), len(gap_dts)
+    n_pulses = len(ends)
     # the rows of pulse 0, and of each later pulse
-    lead, row_len = (window[0].size + n_gap_samples for window in (windows[0], windows[-1]))
+    lead, row_len = (window[0].size for window in (windows[0], windows[-1]))
     k = 0 if first < lead else 1 + (first - lead) // row_len // block * block
     skip = first - (0 if k == 0 else lead + (k - 1) * row_len)
     while k < n_pulses:
         hi = min(k + block, n_pulses) if k else 1
-        rec_times, rec_rows = windows[-1] if k else windows[0]
-        n_rec, block_ends = rec_times.size, ends[k:hi]
-        starts = _pulse_starts(v0, ends[k - 1:hi - 1] if k else None, crossing)
-        starts_t = np.arange(k, hi)[:, None] * T
-        pulse_times = np.empty((hi - k, n_rec + n_gap_samples))
-        pulse_rows = np.empty(pulse_times.shape + (9,))
-        pulse_times[:, :n_rec] = starts_t + rec_times
-        pulse_times[:, n_rec:] = starts_t + w + gap_dts
-        np.matmul(starts, rec_rows.T, out=pulse_rows.reshape(hi - k, -1)[:, :9 * n_rec])
-        pulse_rows[:, n_rec - 1] = block_ends
-        for j, factors in enumerate(offsets, n_rec):
-            pulse_rows[:, j] = _apply_free(block_ends.T, factors).T
+        local, offset, rec_rows = windows[-1] if k else windows[0]
+        starts = _pulse_starts(v0, ends[k - 1:hi - 1] if k else None, gap_map)
+        pulse_times = np.arange(k, hi)[:, None] * T + local
+        pulse_times += offset
+        pulse_rows = (starts @ rec_rows.T).reshape(hi - k, -1, 9)
+        pulse_rows[:, -1 - n_gap_samples] = ends[k:hi]
         n_rows = pulse_times.size - (n_gap_samples if hi == n_pulses else 0)
         yield pulse_times.ravel()[skip:n_rows], pulse_rows.reshape(-1, 9)[skip:n_rows]
         k, skip = hi, 0
@@ -651,12 +619,11 @@ def propagate(
 
     Pulse 0 is the first block, alone on the first window; later pulses
     run in blocks whose fine states fit _BLOCK_BYTES (72 bytes per fine
-    step and pulse).  The gap-map factors are formed once per call: one set
-    for the carried gap (only if the train crosses a gap or rotates) and one
-    per in-gap sample offset.  The carried gap's map is also formed once as
-    a 9x9 matrix G, the gap map of the identity, and each window map fetched
-    gives the period map P = M G with M its end map (P = M with no gap map).
-    One loop runs over the blocks, and each pass does four things in turn:
+    step and pulse).  The carried gap's map G, a 9x9 matrix, is formed once
+    per call, only if the train crosses a gap or rotates, and each window
+    map fetched gives the period map P = M G with M its end map (P = M with
+    no gap map).  One loop runs over the blocks, and each pass does four
+    things in turn:
 
     - The carry.  Only pulse ends are carried: pulse 0's end is M rho0, and
       each later end is one product of P with the end before it.
@@ -665,21 +632,24 @@ def propagate(
       the stable run.  The block is cut after the stopping pulse, and the
       loop ends with it, so the call keeps only the pulses that run.
     - The scan.  The kept pulses' starts come from _pulse_starts, one
-      batched gap map of the ends before them (rho0 for pulse 0).  One
+      product of the ends before them with G (rho0 for pulse 0).  One
       matrix product with the population rows of the window map gives the
       populations of every fine state, each pulse's last one taken from its
       carried end; the guard extremes are three running values.
     - The record.  The kept pulse ends are appended to the carried ends;
       the block's starts are dropped once scanned.
 
-    The returned Trajectory holds the pulse ends joined into one (K, 9)
-    array and one row former, _pulse_rows bound to rho0, the recorded
-    samples of each window, the gap-map factors, T, w and the block size.
-    It forms the rows wherever they are read, block by block on the same
-    partition as the carry, each block's starts formed again from the
-    pulse ends before them by _pulse_starts, as in the scan; the train's
-    last pulse, the last of the train or the one that stopped it, records
-    no gap samples.
+    Each window fetched records its samples: the window map's rows at every
+    sampler_stride-th fine step and at its end, then, with a gap, the maps
+    G_dt M of the in-gap samples, dt the sample offsets into the gap (the
+    rotation, if any, turned in proportion to dt).  The returned Trajectory
+    holds the pulse ends joined into one (K, 9) array and one row former,
+    _pulse_rows bound to rho0, the records of each window, G, the gap
+    samples per pulse, T and the block size.  It forms the rows wherever
+    they are read, block by block on the same partition as the carry, each
+    block's starts formed again from the pulse ends before them by
+    _pulse_starts, as in the scan; the train's last pulse, the last of the
+    train or the one that stopped it, records no gap samples.
 
     With a gap every pulse shares the first window and its recorded rows;
     without one, later windows start where the one before ended, and the
@@ -690,7 +660,7 @@ def propagate(
     call holds the window map and one block's temporaries, about
     _BLOCK_BYTES, beside the carried ends; the trajectory it returns holds
     the pulse ends and their row indices (80 bytes per pulse) and the
-    recorded rows of each window, and no sample rows.
+    records of each window, and no sample rows.
 
     Every internal integration step is scanned for trace drift and negative
     populations, a block at a time and pulse by pulse on a failure, so the
@@ -716,14 +686,7 @@ def propagate(
 
     n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
     gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
-    # the factors of the carried gap, and of each in-gap sample offset
-    crossing = _gap_factors(gap, rates, angles) if N > 1 and (gap > 0.0 or angles is not None) else None
-    offsets = [
-        _gap_factors(dt, rates, None if angles is None else tuple(a * dt / gap for a in angles))
-        for dt in gap_dts
-    ]
-    # the carried gap as a 9x9 matrix G, the columns of the gap map of the identity
-    gap_map = None if crossing is None else _apply_free(np.eye(9), crossing)
+    gap_map = _gap_map(gap, rates, angles) if N > 1 and (gap > 0.0 or angles is not None) else None
     tols = (icfg.trace_tol, icfg.pop_tol)
 
     v = v0 = rho0.to_vector()
@@ -745,7 +708,14 @@ def propagate(
             period = m_end if gap_map is None else np.dot(m_end, gap_map)
             pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
             sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)[k:]
-            windows.append((s_grid[sel], m_fine[sel].reshape(-1, 9)))
+            # the recorded samples' maps: the window's, then G_dt M at w + dt in the gap
+            gap_rows = [
+                _gap_map(dt, rates, None if angles is None else tuple(a * dt / gap for a in angles)) @ m_end
+                for dt in gap_dts
+            ]
+            local = np.concatenate((s_grid[sel], np.full(n_gap_samples, w)))
+            offset = np.concatenate((np.zeros(sel.size), gap_dts))
+            windows.append((local, offset, np.concatenate((m_fine[sel].reshape(-1, 9), *gap_rows))))
             block = max(1, _BLOCK_BYTES // (72 * s_grid.size))
         # carry the pulse ends along the block: pulse 0 maps rho0 by M, each
         # later pulse the end before it by P.  Row 0 holds the end before the
@@ -765,7 +735,7 @@ def propagate(
                     break
         # scan every fine state of the kept pulses; the recorded pulse end is
         # exactly the state the next gap map acts on
-        starts = _pulse_starts(v0, ends[:n_block] if k else None, crossing)
+        starts = _pulse_starts(v0, ends[:n_block] if k else None, gap_map)
         pops = (starts @ pop_rows.T).reshape(n_block, -1, 3)
         pops[:, -1] = ends[1:n_block + 1, :3]
         try:
@@ -781,9 +751,9 @@ def propagate(
         carried.append(ends[1:n_block + 1])
         k += n_block
     # pulse 0's end row; each later pulse ends row_len rows after the one before
-    first_end, row_len = windows[0][0].size - 1, windows[-1][0].size + n_gap_samples
+    first_end, row_len = windows[0][0].size - 1 - n_gap_samples, windows[-1][0].size
     pulse_end_indices = np.arange(first_end, first_end + k * row_len, row_len)
-    rows = functools.partial(_pulse_rows, v0, windows, crossing, offsets, gap_dts, T, w, block)
+    rows = functools.partial(_pulse_rows, v0, windows, gap_map, n_gap_samples, T, block)
 
     metadata = config_tree(sys, cfg, rates, icfg, rho0)
     metadata["resolved_step"] = step

@@ -41,8 +41,9 @@ the (tau, period) pair producing stepwise transfer completing in 109 +/- 10
 pulses.  The scan integrates one pulse-end map M per duration
 (dynamics._window_end_map, no fine-state history) and scores each candidate
 period from the pulse ends that propagate carries, by the period map
-P = M G with G the inter-pulse rotation: M rho0, then its images under the
-powers of P, formed by repeated doubling.  The chosen values are
+P = M G with G the inter-pulse rotation, the 9x9 gap map of a zero-length
+gap (dynamics._gap_map): M rho0, then its images under the powers of P,
+formed by repeated doubling.  The chosen values are
 frozen into module constants and marked with ``derived`` provenance on
 the corresponding expectations.
 """
@@ -66,8 +67,7 @@ from .core import (
 )
 from .dynamics import (
     IntegratorConfig,
-    _apply_free,
-    _gap_factors,
+    _gap_map,
     _interpulse_angles,
     _map_powers,
     _window_end_map,
@@ -664,16 +664,16 @@ def _staircase_stats(
     """(peak yield, pulse count at the first yield peak, transfer pulse).
 
     Carries the pulse ends the way propagate does: the period map P = M R,
-    with R the inter-pulse rotation as a 9x9 matrix (one gap map of zero
-    length applied to the identity) and M the pulse map, and the pulse ends
+    with R the inter-pulse rotation, the 9x9 gap map _gap_map of a
+    zero-length gap without rates, and M the pulse map, and the pulse ends
     P**k M rho0 by repeated doubling into one buffer; the target population
     is component 2 (rho33) of each end.  The start vector and the zero rates are module
     constants shared by every candidate.  Bookkeeping stops at the first
     peak: the last running maximum before the yield falls by more than 0.05
     below it.  The transfer pulse is transfer_pulse's rule up to that peak.
     """
-    rotation = _gap_factors(0.0, _NO_RATES, _interpulse_angles(period, sys))
-    period_map = np.dot(pulse_map, _apply_free(np.eye(9), rotation))
+    rotation = _gap_map(0.0, _NO_RATES, _interpulse_angles(period, sys))
+    period_map = np.dot(pulse_map, rotation)
     p33 = _map_powers(period_map, np.dot(pulse_map, _STAIRCASE_START), n_max)[:, 2]
     run_max = np.maximum.accumulate(p33)
     falls = np.nonzero(run_max - p33 > 0.05)[0]

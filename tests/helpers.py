@@ -195,7 +195,11 @@ def lvn_rhs(rho, t, k, cfg, sys_, rates):
 
 
 def apply_free_reference(v, dt, rates, phases=None):
-    """Per-row oracle for dynamics._apply_free(v, _gap_factors(dt, rates, phases)), bitwise.
+    """Per-row oracle for the gap map dynamics._gap_map(dt, rates, phases).
+
+    Of the identity it gives that matrix, bit for bit up to the sign of
+    zeros; of a (9,) state or each column of a (9, m) stack, what one product
+    with it (dynamics._apply_free) gives to rounding.
 
     Copies v, then writes the gap map one row at a time: rows 0-2 from the
     decayed excited population, each coherence row scaled by its decay

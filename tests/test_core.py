@@ -179,6 +179,15 @@ def test_trajectory_states():
     np.testing.assert_allclose(traj.final_state.to_vector(), traj.data[-1])
 
 
+@pytest.mark.parametrize("m", [0, -1, 4, 5])
+def test_last_rows_rejects_a_count_outside_the_rows(m):
+    """Three held rows give their last one to three; any other count raises
+    rather than read past the rows (4, 5) or return none (0, -1)."""
+    traj = Trajectory.from_arrays(np.arange(3.0), np.ones((3, 9)), [2])
+    with pytest.raises(ValueError, match=f"1 <= m <= 3, got {m}"):
+        traj.last_rows(m)
+
+
 @pytest.mark.parametrize(
     "times, data, ends, message",
     [

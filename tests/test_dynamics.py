@@ -32,7 +32,7 @@ from combcool.dynamics import (
     IntegrationError,
     NegativePopulation,
     _apply_free,
-    _gap_factors,
+    _gap_map,
     _integrate_window,
     _interpulse_angles,
     _map_powers,
@@ -140,100 +140,51 @@ def test_free_evolution_identity_without_rates():
     np.testing.assert_allclose(out.to_vector(), MIXED_RHO0.to_vector(), atol=0.0)
 
 
-@pytest.mark.parametrize("phases", [None, (0.7, -1.3, 2.1)])
-def test_gap_map_on_a_stack_matches_column_by_column(phases):
-    rates = DecoherenceRates(gamma21=0.03, gamma23=0.01, Gamma21=0.02, Gamma31=0.005, Gamma23=0.025)
-    stack = np.random.default_rng(11).normal(size=(9, 6))
-    factors = _gap_factors(2.5, rates, phases)
-    out = _apply_free(stack, factors)
-    for j in range(stack.shape[1]):
-        assert out[:, j].tobytes() == _apply_free(stack[:, j], factors).tobytes()
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    """Bit patterns of a, with every NaN as the one NaN np.nan.
-
-    IEEE 754 leaves open which NaN an operation on two NaNs returns, and
-    numpy's loops choose differently: the per-row map itself gives
-    0x7ff8... for a (9,) state and 0xfff8... for the same state as a column
-    of a stack when s x and c y are both NaN.  Every other bit is compared.
-    """
-    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
-
-
-_GAP_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.1e-308, -2.2e-309]),
-    st.floats(width=64),
-)
-_GAP_PHASES = st.one_of(
-    st.none(),
-    st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3) for _ in range(3)]),
-)
+_GAP_ZERO = st.sampled_from([0.0, -0.0])
+_GAP_ANGLES = st.one_of(st.none(), st.tuples(*[_GAP_ZERO | st.floats(-1e3, 1e3) for _ in range(3)]))
 _GAP_RATES = st.sampled_from(
     [
         DecoherenceRates.none(),
         DecoherenceRates(gamma21=0.03, gamma23=0.01, Gamma21=0.02, Gamma31=0.005, Gamma23=0.025),
         DecoherenceRates(gamma21=0.0, gamma23=-0.0, Gamma21=0.02, Gamma31=-0.0, Gamma23=0.02),
+        DecoherenceRates(gamma21=-0.0, gamma23=0.0, Gamma21=-0.0, Gamma31=0.0, Gamma23=-0.0),
     ]
 )
-
-
-@st.composite
-def _gap_states(draw):
-    """A (9,) state, a C- or F-ordered (9, m) stack, or a (9, 9) map."""
-    kind = draw(st.sampled_from(["vector", "stack", "ends.T", "map"]))
-    m = draw(st.integers(0, 5))
-    shape = {"vector": (9,), "stack": (9, m), "ends.T": (m, 9), "map": (9, 9)}[kind]
-    values = draw(st.lists(_GAP_ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape)))
-    v = np.array(values, dtype=float).reshape(shape)
-    return v.T if kind == "ends.T" else v
+_GAP_ENTRIES = _GAP_ZERO | st.sampled_from([5e-324, -5e-324, 1.1e-308, -2.2e-309]) | st.floats(-1e300, 1e300)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
-    v=_gap_states(),
-    dt=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 50.0),
+    dt=_GAP_ZERO | st.floats(0.0, 50.0),
     rates=_GAP_RATES,
-    phases=_GAP_PHASES,
+    angles=_GAP_ANGLES,
+    states=st.integers(0, 5).flatmap(
+        lambda m: st.lists(_GAP_ENTRIES, min_size=9 * m, max_size=9 * m).map(lambda x: np.reshape(x, (m, 9)))
+    ),
 )
-def test_gap_map_is_bitwise_the_per_row_map(v, dt, rates, phases):
-    before = v.copy()
-    with np.errstate(all="ignore"):
-        expected = _bits(apply_free_reference(v, dt, rates, phases))
-        factors = _gap_factors(dt, rates, phases)
-        out = _apply_free(v, factors)
-        assert out.shape == v.shape
-        assert np.array_equal(_bits(out), expected)
-        assert out.flags.writeable and out.flags.c_contiguous
-        assert not np.shares_memory(out, v)
-        assert np.array_equal(v.view(np.uint64), before.view(np.uint64))
-        # a second call with the same factors, as every carried pulse makes, returns
-        # a new array: the first output, written over, must not leak into it
-        out[...] = 7.0
-        again = _apply_free(v, factors)
-        assert not np.shares_memory(again, out)
-        assert np.array_equal(_bits(again), expected)
-
-
-def test_gap_map_factors_follow_the_bits_of_their_key():
-    """Equal gaps and phases with other bits get their own factors: sin(-0.0) is -0.0.
-
-    With -0.0 coherences, phases (0, 0, 0) turn each pair to (+0.0, -0.0)
-    and phases (-0, -0, -0) to (-0.0, +0.0); factors shared between equal
-    arguments would hand the second call the first call's bits.
-    """
-    v = np.full(9, -0.0)
-    v[:3] = (1.0, 0.0, 0.0)
-    rates = DecoherenceRates.none()
-    for signs in ((1.0, 1.0, 1.0), (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)):
-        phases = tuple(math.copysign(0.0, s) for s in signs)
-        for dt in (0.0, -0.0):
-            factors = _gap_factors(dt, rates, phases)
-            expected = apply_free_reference(v, dt, rates, phases).view(np.uint64)
-            assert np.array_equal(_apply_free(v, factors).view(np.uint64), expected)
-            stack = np.tile(v[:, None], 3)
-            expected = apply_free_reference(stack, dt, rates, phases).view(np.uint64)
-            assert np.array_equal(_apply_free(stack, factors).view(np.uint64), expected)
+def test_gap_map_is_bitwise_the_per_row_map(dt, rates, angles, states):
+    """G is the per-row map of the identity, bit for bit once -0.0 reads as
+    0.0.  One product with it maps a state or a stack of them to within
+    8 ulp of the state's largest entry (plus two of the smallest subnormal)
+    of the per-row map, since each entry of G v sums at most two nonzero
+    terms, each with factors of magnitude at most 1; without rates it gives
+    the per-row map's bits, and a stack's rows get the bits of each state."""
+    gap_map = _gap_map(dt, rates, angles)
+    expected = apply_free_reference(np.eye(9), dt, rates, angles)
+    assert gap_map.shape == (9, 9)
+    assert np.array_equal((gap_map + 0.0).view(np.uint64), (expected + 0.0).view(np.uint64))
+    for v in (*states, states):
+        bound = 8 * np.finfo(float).eps * np.abs(v).max(axis=-1, initial=0.0, keepdims=True) + 1e-323
+        before = v.copy()
+        out = _apply_free(v, gap_map)
+        expected = apply_free_reference(v.T, dt, rates, angles).T
+        assert out.shape == v.shape and not np.shares_memory(out, v)
+        assert v.tobytes() == before.tobytes()
+        assert np.all(np.abs(out - expected) <= bound)
+        if rates == DecoherenceRates.none():
+            assert np.array_equal((out + 0.0).view(np.uint64), (expected + 0.0).view(np.uint64))
+    stacked = _apply_free(states, gap_map)
+    assert stacked.tobytes() == b"".join(_apply_free(v, gap_map).tobytes() for v in states)
 
 
 # --- one-period map powers ------------------------------------------------------
@@ -254,8 +205,7 @@ def _unitary_map(rng: np.random.Generator) -> np.ndarray:
 def test_map_powers_are_bitwise_the_concatenating_doubling(n):
     rng = np.random.default_rng(7)
     rates = DecoherenceRates(gamma21=0.002, gamma23=0.001, Gamma21=0.001, Gamma31=0.0005, Gamma23=0.0015)
-    gap = _gap_factors(3.0, rates, (0.4, -2.2, 1.1))
-    period_map = _apply_free(_unitary_map(rng), gap)
+    period_map = _gap_map(3.0, rates, (0.4, -2.2, 1.1)) @ _unitary_map(rng)
     v = random_density_matrix(rng).to_vector()
     rows = _map_powers(period_map, v, n)
     expected = map_powers_reference(period_map, v, n)
@@ -269,8 +219,7 @@ def test_map_powers_are_bitwise_the_concatenating_doubling(n):
 def test_map_powers_match_repeated_application(n):
     rng = np.random.default_rng(5)
     rates = DecoherenceRates(gamma21=0.002, gamma23=0.001, Gamma21=0.001, Gamma31=0.0005, Gamma23=0.0015)
-    gap = _gap_factors(3.0, rates, (0.4, -2.2, 1.1))
-    period_map = _apply_free(_unitary_map(rng), gap)
+    period_map = _gap_map(3.0, rates, (0.4, -2.2, 1.1)) @ _unitary_map(rng)
     v = random_density_matrix(rng).to_vector()
     rows = _map_powers(period_map, v, n)
     assert rows.shape == (n, 9)
@@ -709,30 +658,34 @@ def test_preset_pulse_blocks_match_per_pulse_loop(name):
 
 @pytest.mark.parametrize("phases", [False, True])
 def test_pulse_end_row_is_the_state_the_gap_map_acts_on(monkeypatch, phases):
+    """Each later pulse's first row (its start, the window map's first row
+    being the identity) is the gap map of the pulse end before it, formed
+    as one product over the ends, as the carry's blocks form them."""
     rho0, cfg, sys_, rates, icfg = _desk_run(15, interpulse_phases=phases)
     _set_block_pulses(monkeypatch, cfg, sys_, icfg, 4)
     traj = quiet_propagate(rho0, cfg, sys_, rates, icfg)
     gap = cfg.T - 2.0 * icfg.window_sigmas * cfg.tau
     angles = _interpulse_angles(cfg.T, sys_) if phases else None
-    for end in traj.pulse_end_indices[:-1]:
-        carried = _apply_free(traj.data[end], _gap_factors(gap, rates, angles))
-        assert carried.tobytes() == traj.data[end + icfg.gap_samples + 1].tobytes()
+    ends = traj.pulse_end_indices[:-1]
+    carried = _apply_free(traj.data[ends], _gap_map(gap, rates, angles))
+    assert carried.tobytes() == traj.data[ends + icfg.gap_samples + 1].tobytes()
 
 
 @pytest.mark.parametrize("period, phases", [(25.0, False), (25.0, True), (3.3, True)])
 def test_carry_crosses_every_gap_on_the_period_map(monkeypatch, period, phases):
-    """The carry maps each pulse end by P = M G, with G formed once by one gap
-    map of the identity, and each block's scan forms its pulse starts by one
-    batched gap map of the ends before them.  A 15-pulse train in blocks of 4
-    (1 + 4 + 4 + 4 + 2) calls the gap map five times, not once per crossing
-    (14); with 3.3 the windows leave no gap, but the coherences still turn."""
+    """The carry maps each pulse end by P = M G, with G formed once as a 9x9
+    matrix, and each block's scan forms its pulse starts by one product of
+    the ends before them with G.  A 15-pulse train in blocks of 4 (1 + 4 +
+    4 + 4 + 2) applies the gap map four times, once per later block, not
+    once per crossing (14); with 3.3 the windows leave no gap, but the
+    coherences still turn."""
     run = _desk_run(15, period, interpulse_phases=phases)
     _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)
     shapes = []
     apply_free = dynamics._apply_free
-    monkeypatch.setattr(dynamics, "_apply_free", lambda v, f: shapes.append(v.shape) or apply_free(v, f))
+    monkeypatch.setattr(dynamics, "_apply_free", lambda v, g: shapes.append(v.shape) or apply_free(v, g))
     quiet_propagate(*run)
-    assert shapes == [(9, 9), (9, 4), (9, 4), (9, 4), (9, 2)]
+    assert shapes == [(4, 9), (4, 9), (4, 9), (2, 9)]
 
 
 def test_scan_and_rows_form_pulse_starts_in_one_place(monkeypatch):
@@ -835,13 +788,17 @@ def test_propagate_holds_one_copy_of_its_trajectory():
 def test_last_rows_are_the_trailing_rows_of_data(monkeypatch, period):
     """Every tail, from inside pulse 0's gap samples to the last row alone,
     forms from the block that holds its first row; with 3.3 the windows
-    leave no gap, so the interior window differs from the first."""
+    leave no gap, so the interior window differs from the first.  A count
+    of no rows or past the first row raises instead of forming rows."""
     run = _desk_run(7, period, gap_samples=3)
     _set_block_pulses(monkeypatch, run[1], run[2], run[4], 2)
     traj = quiet_propagate(*run)
     data = traj.data
     for m in range(1, traj.n_samples + 1):
         assert traj.last_rows(m).tobytes() == data[-m:].tobytes(), m
+    for m in (0, traj.n_samples + 1, traj.n_samples + 3):
+        with pytest.raises(ValueError, match=f"1 <= m <= {traj.n_samples}, got {m}"):
+            traj.last_rows(m)
 
 
 def test_trajectory_holds_its_pulse_ends_and_no_block_bookkeeping():
@@ -877,20 +834,19 @@ def test_trajectory_round_trips_through_pickle(form):
 
 
 @pytest.mark.parametrize(
-    "period, phases, factor_sets",
+    "period, phases, gap_maps",
     [(25.0, False, 4), (25.0, True, 4), (3.3, False, 0), (3.3, True, 1)],
 )
-def test_gap_factors_are_computed_once_per_distinct_gap_of_a_call(
-    monkeypatch, period, phases, factor_sets
-):
+def test_gap_maps_are_formed_once_per_distinct_gap_of_a_call(monkeypatch, period, phases, gap_maps):
     # 4 = the carried gap and three sample offsets; with 3.3 the windows leave no gap
     run = _desk_run(15, period, gap_samples=3, interpulse_phases=phases)
     _set_block_pulses(monkeypatch, run[1], run[2], run[4], 4)
     calls = []
-    factors = dynamics._gap_factors
-    monkeypatch.setattr(dynamics, "_gap_factors", lambda *args: calls.append(args) or factors(*args))
-    quiet_propagate(*run)
-    assert len(calls) == factor_sets <= 1 + run[4].gap_samples
+    gap_map = dynamics._gap_map
+    monkeypatch.setattr(dynamics, "_gap_map", lambda *args: calls.append(args) or gap_map(*args))
+    traj = quiet_propagate(*run)
+    traj.data
+    assert len(calls) == gap_maps <= 1 + run[4].gap_samples
 
 
 # --- window-map memo -----------------------------------------------------------------
