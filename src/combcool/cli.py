@@ -55,6 +55,7 @@ from .dynamics import (
     IntegrationError,
     IntegratorConfig,
     check_initial_state,
+    gap_layout,
     propagate,
     quantum_yield,
     resolve_step,
@@ -208,8 +209,11 @@ def _template_tree() -> dict:
 
 
 def tree_from_config_file(path: Path) -> dict:
-    """Load a complete resolved configuration from a flat config file."""
-    flat = parse_config_text(path.read_text(encoding="utf-8"))
+    """Load a complete resolved configuration from a flat config file.
+
+    Read as utf-8-sig, so a byte-order mark before the first key is dropped.
+    """
+    flat = parse_config_text(path.read_text(encoding="utf-8-sig"))
     tree = _template_tree()
     required = {key for key, _ in _flatten(tree)}
     missing = sorted(required - flat.keys())
@@ -249,7 +253,8 @@ def runnable_objects(
     """
     sys_, cfg, rates, icfg, rho0 = objects = objects_from_tree(tree)
     for key, check in (("rho0", lambda: check_initial_state(rho0)),
-                       ("integrator.step_in_pulse", lambda: resolve_step(icfg, cfg, sys_))):
+                       ("integrator.step_in_pulse", lambda: resolve_step(icfg, cfg, sys_)),
+                       ("train.T", lambda: gap_layout(cfg, sys_, icfg))):
         try:
             check()
         except ValueError as exc:

@@ -1,11 +1,14 @@
 """Density-matrix propagation through the pulse train.
 
-The equations of motion are the Liouville-von Neumann equations
-rho_dot = -i [H(t), rho] with the beyond-rotating-wave interaction-picture
-Hamiltonian from the field module, plus spontaneous emission of the excited
-state (gamma21, gamma23) and pure collisional dephasing of each coherence
-(Gamma21, Gamma31, Gamma23).  Written out per element (H13 = 0 is kept
-symbolically so a driven 1-3 leg could be switched on later):
+The equation of motion is one Lindblad master equation,
+rho_dot = -i [H(t), rho] + R rho, with the beyond-rotating-wave
+interaction-picture Hamiltonian from the field module and the decoherence
+part R: spontaneous emission of the excited state (gamma21, gamma23) and
+pure collisional dephasing of each coherence (Gamma21, Gamma31, Gamma23).
+The generator is assembled in that form: the commutator with each drive
+component, derived once through DensityMatrix's vector basis, plus R.
+Written out per element, the statement the tests check it against (the
+1-3 leg is not driven, so H13 = 0):
 
     rho11' =  2 Im[H12 rho21 + H13 rho31] + gamma21 rho22
     rho22' =  2 Im[H21 rho12 + H23 rho32] - (gamma21 + gamma23) rho22
@@ -17,9 +20,9 @@ symbolically so a driven 1-3 leg could be switched on later):
              - (gamma21/2 + gamma23/2 + Gamma23) rho23
 
 Between pulse windows the Hamiltonian is truncated to zero and the
-decoherence part has the closed form used by free_evolution, so propagation
-is piecewise: fixed-step RK4 inside each pulse window, one analytic map
-across each gap.
+decoherence part has the closed form G = exp(R dt) of free_evolution, so
+propagation is piecewise: fixed-step RK4 inside each pulse window, one
+analytic map across each gap.
 
 Inside a window the equations are linear, so each RK4 step is a 9x9 step
 map, formed in stacked products and applied in order.
@@ -201,77 +204,68 @@ def check_initial_state(rho0: DensityMatrix) -> None:
 # Generator
 # ---------------------------------------------------------------------------
 
+def _decay_rates(rates: DecoherenceRates) -> tuple[float, float, float, float]:
+    """(G2, k12, k13, k23): the excited state's total decay rate and the decay
+    rates of the coherences rho12, rho13 and rho23.
+
+    The one statement of the decoherence model's rates: the generator's rate
+    part R and the gap map's factors (_free_factors) both read them, so the
+    gap map is exp(R dt).  A coherence with the excited state loses half its
+    lifetime rate on top of its dephasing rate.
+    """
+    G2 = rates.gamma2_total
+    return G2, 0.5 * G2 + rates.Gamma21, rates.Gamma31, 0.5 * G2 + rates.Gamma23
+
+
+@functools.cache
+def _drive_couplings() -> np.ndarray:
+    """(4, 9, 9) couplings C_k: column j of C_k is -i[E_k, rho(e_j)] as a vector.
+
+    E_k is the Hermitian matrix of the drive component d_k, d = (Re H21,
+    Im H21, Re H32, Im H32), so H = sum_k d_k E_k.  The vector of a Hermitian
+    matrix holds its upper triangle, H12 = conj(H21) and H23 = conj(H32), so
+    E_k is the matrix of the vector e_3, -e_4, e_7 or -e_8.  Both directions
+    go through DensityMatrix, the only statement of the vector basis.  Every
+    entry is 0, +-1 or +-2.  Derived on the first call, not at import.
+    """
+    def commutator(h, rho):
+        # einsum, not @: no other step of a run makes a complex BLAS call,
+        # and one raised calibrate-fig4's peak RSS by about 1 MB
+        return -1j * (np.einsum("ij,jk", h, rho) - np.einsum("ij,jk", rho, h))
+
+    eye = np.eye(9)
+    basis = [DensityMatrix.from_vector(e).matrix for e in eye]
+    drives = [DensityMatrix.from_vector(e).matrix for e in (eye[3], -eye[4], eye[7], -eye[8])]
+    return np.array([
+        np.column_stack([DensityMatrix.from_matrix(commutator(h, rho)).to_vector() for rho in basis])
+        for h in drives
+    ])
+
+
 def _generator_matrices(
     s_values: np.ndarray,
     cfg: PulseTrainConfig,
     sys: LevelSystem,
     rates: DecoherenceRates,
 ) -> np.ndarray:
-    """Stack of real 9x9 generators L(s) in pulse-local time.
+    """Stack of real 9x9 generators L(s) = sum_k d_k(s) C_k + R in pulse-local time.
 
     Acting on v = [p1, p2, p3, Re12, Im12, Re13, Im13, Re23, Im23], so that
-    v' = L(s) v gives the per-element equations of the module docstring (the
-    tests pin it against a complex-arithmetic reference).  The undriven 1-3
-    leg is hardcoded to zero here; extend the x13/y13 population couplings
-    if it is ever driven.
+    v' = L(s) v is the master equation of the module docstring (the tests
+    pin it against the per-element equations).  d(s) are the drive
+    components from field._transition_drives, C_k the commutator couplings
+    of _drive_couplings and R the constant rate generator of _decay_rates.
+    No entry of L holds both a drive and a rate, and each coupling is 0,
+    +-1 or +-2, so every entry is one exact product, the coefficient of the
+    per-element equations to the last bit.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    h21, h32 = field_mod._transition_drives(s_values, cfg, sys)
-    a, b = h21.real, h21.imag
-    c, d = h32.real, h32.imag
-
-    g21, g23 = rates.gamma21, rates.gamma23
-    G2 = g21 + g23
-    gd12 = 0.5 * G2 + rates.Gamma21
-    gd13 = rates.Gamma31
-    gd23 = 0.5 * G2 + rates.Gamma23
-
-    L = np.zeros((s_values.size, 9, 9))
-    # populations
-    L[:, 0, 3] = -2.0 * b
-    L[:, 0, 4] = -2.0 * a
-    L[:, 0, 1] = g21
-    L[:, 1, 3] = 2.0 * b
-    L[:, 1, 4] = 2.0 * a
-    L[:, 1, 7] = -2.0 * d
-    L[:, 1, 8] = -2.0 * c
-    L[:, 1, 1] = -G2
-    L[:, 2, 7] = 2.0 * d
-    L[:, 2, 8] = 2.0 * c
-    L[:, 2, 1] = g23
-    # rho12
-    L[:, 3, 0] = b
-    L[:, 3, 1] = -b
-    L[:, 3, 5] = -d
-    L[:, 3, 6] = -c
-    L[:, 3, 3] = -gd12
-    L[:, 4, 0] = a
-    L[:, 4, 1] = -a
-    L[:, 4, 5] = c
-    L[:, 4, 6] = -d
-    L[:, 4, 4] = -gd12
-    # rho13
-    L[:, 5, 3] = d
-    L[:, 5, 4] = -c
-    L[:, 5, 7] = -b
-    L[:, 5, 8] = a
-    L[:, 5, 5] = -gd13
-    L[:, 6, 3] = c
-    L[:, 6, 4] = d
-    L[:, 6, 7] = -a
-    L[:, 6, 8] = -b
-    L[:, 6, 6] = -gd13
-    # rho23
-    L[:, 7, 1] = d
-    L[:, 7, 2] = -d
-    L[:, 7, 5] = b
-    L[:, 7, 6] = a
-    L[:, 7, 7] = -gd23
-    L[:, 8, 1] = c
-    L[:, 8, 2] = -c
-    L[:, 8, 5] = -a
-    L[:, 8, 6] = b
-    L[:, 8, 8] = -gd23
+    drives = np.stack(field_mod._transition_drives(s_values, cfg, sys), axis=-1).view(float)
+    G2, k12, k13, k23 = _decay_rates(rates)
+    rate_map = np.diag([0.0, -G2, 0.0, -k12, -k12, -k13, -k13, -k23, -k23])
+    rate_map[(0, 2), 1] = rates.gamma21, rates.gamma23
+    L = (drives @ _drive_couplings().reshape(4, 81)).reshape(-1, 9, 9)
+    L += rate_map
     return L
 
 
@@ -280,17 +274,15 @@ def _generator_matrices(
 # ---------------------------------------------------------------------------
 
 def _free_factors(dt: float, rates: DecoherenceRates):
-    G2 = rates.gamma2_total
-    E2 = math.exp(-G2 * dt)
-    if G2 > 0.0:
-        r21 = rates.gamma21 / G2
-        r23 = rates.gamma23 / G2
-    else:
-        r21 = r23 = 0.0
-    f12 = math.exp(-(0.5 * G2 + rates.Gamma21) * dt)
-    f13 = math.exp(-rates.Gamma31 * dt)
-    f23 = math.exp(-(0.5 * G2 + rates.Gamma23) * dt)
-    return E2, r21, r23, f12, f13, f23
+    """(E2, r21, r23, f12, f13, f23) of the gap map over dt.
+
+    E2 is what the excited population keeps, r21 and r23 the branching
+    ratios of what it loses, and f12, f13, f23 the coherences' decay
+    factors, each exp(-k dt) with the rates of _decay_rates.
+    """
+    G2, *coherence_rates = _decay_rates(rates)
+    r21, r23 = (rates.gamma21 / G2, rates.gamma23 / G2) if G2 > 0.0 else (0.0, 0.0)
+    return (math.exp(-G2 * dt), r21, r23, *(math.exp(-k * dt) for k in coherence_rates))
 
 
 def _gap_map(dt: float, rates: DecoherenceRates, angles=None) -> np.ndarray:
@@ -356,6 +348,32 @@ def _interpulse_angles(T: float, sys: LevelSystem) -> tuple[float, float, float]
     state between pulses.
     """
     return (sys.omega21 * T, -sys.omega31 * T, -sys.omega32 * T)
+
+
+def gap_layout(cfg: PulseTrainConfig, sys: LevelSystem, icfg: IntegratorConfig):
+    """(w, gap, angles, gap_dts, rotations): the gaps of the train.
+
+    w is the window half-width and gap the time crossed between windows (0
+    for at most 1e-12 (gap_samples + 1) N T, see propagate); angles are the
+    coherence rotation angles per period (None unless interpulse_phases),
+    gap_dts the in-gap sample offsets and rotations each sample's angles,
+    turned in proportion to dt (None each without a rotation).  Raises
+    ValueError if a rotation the train applies overflows: math.cos has no
+    value at an infinite angle.
+    """
+    w = icfg.window_sigmas * cfg.tau
+    T, N = cfg.T, cfg.N
+    gap = T - 2.0 * w
+    if gap <= 1e-12 * (icfg.gap_samples + 1) * N * T:
+        gap = 0.0
+    n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
+    gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
+    angles = _interpulse_angles(T, sys) if icfg.interpulse_phases else None
+    rotations = [None if angles is None else tuple(a * dt / gap for a in angles) for dt in gap_dts]
+    applied = rotations + ([angles] if N > 1 else [])
+    if angles is not None and not np.isfinite(applied).all():
+        raise ValueError(f"the period T = {T:g} overflows the interpulse rotation angles")
+    return w, gap, angles, gap_dts, rotations
 
 
 def free_evolution(rho: DensityMatrix, dt: float, rates: DecoherenceRates) -> DensityMatrix:
@@ -669,7 +687,8 @@ def propagate(
     a guard stops at the block of its first failing pulse.
 
     Unless allow_unconstrained_rates is set, the rates must satisfy the
-    additive dephasing relation (validate_rates in ENFORCE mode).
+    additive dephasing relation (validate_rates in ENFORCE mode).  A period
+    that overflows an interpulse rotation angle is a ValueError (gap_layout).
     """
     icfg = icfg if icfg is not None else IntegratorConfig()
     if not allow_unconstrained_rates:
@@ -677,15 +696,9 @@ def propagate(
     check_initial_state(rho0)
     step = resolve_step(icfg, cfg, sys)
 
-    w = icfg.window_sigmas * cfg.tau
     T, N = cfg.T, cfg.N
-    gap = T - 2.0 * w
-    if gap <= 1e-12 * (icfg.gap_samples + 1) * N * T:
-        gap = 0.0
-    angles = _interpulse_angles(T, sys) if icfg.interpulse_phases else None
-
-    n_gap_samples = icfg.gap_samples if gap > 0.0 else 0
-    gap_dts = [j * gap / (n_gap_samples + 1) for j in range(1, n_gap_samples + 1)]
+    w, gap, angles, gap_dts, rotations = gap_layout(cfg, sys, icfg)
+    n_gap_samples = len(gap_dts)
     gap_map = _gap_map(gap, rates, angles) if N > 1 and (gap > 0.0 or angles is not None) else None
     tols = (icfg.trace_tol, icfg.pop_tol)
 
@@ -709,10 +722,7 @@ def propagate(
             pop_rows = np.ascontiguousarray(m_fine[:, :3]).reshape(-1, 9)
             sel = np.append(np.arange(0, s_grid.size - 1, icfg.sampler_stride), s_grid.size - 1)[k:]
             # the recorded samples' maps: the window's, then G_dt M at w + dt in the gap
-            gap_rows = [
-                _gap_map(dt, rates, None if angles is None else tuple(a * dt / gap for a in angles)) @ m_end
-                for dt in gap_dts
-            ]
+            gap_rows = [_gap_map(dt, rates, rotation) @ m_end for dt, rotation in zip(gap_dts, rotations)]
             local = np.concatenate((s_grid[sel], np.full(n_gap_samples, w)))
             offset = np.concatenate((np.zeros(sel.size), gap_dts))
             windows.append((local, offset, np.concatenate((m_fine[sel].reshape(-1, 9), *gap_rows))))

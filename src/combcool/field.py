@@ -170,7 +170,9 @@ def _transition_drives(s, cfg: PulseTrainConfig, sys: LevelSystem):
     """Vectorized H21(s) and H32(s) in pulse-local time.
 
     The only implementation of the matrix-element formula in the module
-    docstring; the propagator's generator assembly calls it.
+    docstring.  The propagator's generator reads the pair as its four real
+    drive components d = (Re H21, Im H21, Re H32, Im H32), each scaling one
+    commutator coupling of the master equation.
     """
     s = np.asarray(s, dtype=float)
     env = cfg.rabi_peak * np.exp(-(s * s) / (2.0 * cfg.tau * cfg.tau))

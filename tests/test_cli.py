@@ -175,6 +175,21 @@ def test_incomplete_config_file_is_rejected(tmp_path):
     assert run_cli("run", "--scenario", str(partial), "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+def test_config_file_with_a_byte_order_mark_runs_as_without_it(tmp_path):
+    """A config file saved with a UTF-8 byte-order mark reads as the same file
+    without one, instead of missing its first key."""
+    plain, marked = tmp_path / "plain" / "run.cfg", tmp_path / "marked" / "run.cfg"
+    plain.parent.mkdir()
+    marked.parent.mkdir()
+    assert run_cli("run", "--scenario", "fig5sp", "--set", "train.N=12", "--dump-config", str(plain)) == EXIT_OK
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, marked):
+        code = run_cli("run", "--scenario", str(path), "--emit", "timeseries,summary", "--out", str(path.parent / "out"))
+        assert code == EXIT_OK
+    for f in ("timeseries.csv", "summary.txt"):
+        assert (plain.parent / "out" / f).read_bytes() == (marked.parent / "out" / f).read_bytes(), f
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -203,6 +218,9 @@ def test_non_finite_override_is_a_config_error(tmp_path, capsys, override):
         ("integrator.step_in_pulse=10", "integrator.step_in_pulse", "stability cap"),
         # unit trace but an eigenvalue of -0.4, which integrating would blame on the step
         ("rho0.rho11=0.5 rho0.rho33=0.5 rho0.re13=0.9", "rho0", "positive semidefinite"),
+        # finite periods whose interpulse rotation overflows: math.cos has no value at inf
+        ("integrator.interpulse_phases=true train.N=3 train.T=1e155", "train.T", "T = 1e+155 overflows"),
+        ("integrator.interpulse_phases=true train.N=3 train.T=1e308", "train.T", "T = 1e+308 overflows"),
     ],
 )
 def test_input_rejected_by_propagate_is_a_config_error(tmp_path, capsys, override, key, message):
@@ -676,6 +694,19 @@ def test_sweep_records_non_finite_value_as_an_error_row(tmp_path, monkeypatch):
         cells = bad.split(",")
         assert cells[:3] == ["nan", "nan", "nan"]
         assert cells[3].startswith("ConfigError: key 'rates.gamma21'") and "finite" in cells[3]
+
+
+def test_sweep_records_an_overflowing_period_as_an_error_row(tmp_path, monkeypatch):
+    monkeypatch.setenv("COMB_LAMBDA_THREADS", "1")
+    code = run_cli(
+        "sweep", "--scenario", "fig4", "--set", "train.N=3",
+        "--axis1", "train.T=1e150,1e155", "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    good, bad = (row.split(",") for row in (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:])
+    assert good[0] == "1e150" and good[3] == ""
+    assert bad[:3] == ["1e155", "nan", "nan"]
+    assert bad[3] == "ConfigError: key 'train.T': the period T = 1e+155 overflows the interpulse rotation angles"
 
 
 def test_sweep_is_deterministic_across_worker_counts(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from combcool import (
     DecoherenceRates,
@@ -1005,6 +1006,65 @@ def test_lvn_rhs_agrees_with_vectorized_generator():
         )
 
 
+_GENERATOR_RATE = st.just(0.0) | st.floats(0.0, 0.1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["none", "sine", "cosine"]),
+    amplitude=st.floats(0.0, 6.0),
+    omega_mod=st.floats(0.1, 3.0),
+    phi=st.floats(-math.pi, math.pi),
+    rabi=st.floats(0.0, 2.0),
+    tau=st.floats(0.1, 0.5),
+    omega_L=st.floats(0.5, 5.0),
+    omega21=st.floats(0.5, 4.0),
+    gap32=st.floats(0.1, 4.0),
+    rates=st.just(DecoherenceRates.none()) | st.builds(DecoherenceRates, *5 * [_GENERATOR_RATE]),
+    s_values=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generator_matrices_agree_with_lvn_rhs(
+    kind, amplitude, omega_mod, phi, rabi, tau, omega_L, omega21, gap32, rates, s_values, seed
+):
+    """L(s) v is the per-element master equation on random trains (each
+    modulation kind, any carrier phase), random rates (all zero, or each rate
+    free, Gamma31 included, whatever the additive relation) and random states.
+    Both sides sum at most nine products whose factors are bounded by the
+    row's absolute sum of L and by 1, so they agree within 64 ulp of
+    1 + max_i sum_j |L_ij|."""
+    modulation = Modulation(kind, amplitude, omega_mod)
+    cfg = PulseTrainConfig(rabi_peak=rabi, omega_L=omega_L, tau=tau, T=20.0, N=1, phi=phi, modulation=modulation)
+    sys_ = LevelSystem.from_transitions(omega21, omega21 + gap32)
+    rng = np.random.default_rng(seed)
+    gens = dynamics._generator_matrices(np.array(s_values), cfg, sys_, rates)
+    assert gens.shape == (len(s_values), 9, 9)
+    for s, L in zip(s_values, gens):
+        rho = random_density_matrix(rng)
+        reference = lvn_rhs(rho, s, 0, cfg, sys_, rates).to_vector()
+        tol = 64 * np.finfo(float).eps * (1.0 + np.abs(L).sum(axis=1).max())
+        np.testing.assert_allclose(L @ rho.to_vector(), reference, rtol=0.0, atol=tol)
+
+
+def test_generator_couplings_are_exact_and_apart_from_the_rates():
+    """Each commutator coupling C_k is 0, +-1 or +-2 and keeps the trace (its
+    population rows sum to 0 in every column), and no entry of L mixes a
+    drive with a rate: where a coupling is nonzero, the rate generator R,
+    read as L at zero drive, is zero."""
+    couplings = dynamics._drive_couplings()
+    assert couplings.shape == (4, 9, 9)
+    assert set(np.unique(couplings).tolist()) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
+    assert np.all(couplings[:, :3].sum(axis=1) == 0.0)
+    sys_ = LevelSystem.from_transitions(2.0, 3.1)
+    undriven = PulseTrainConfig(rabi_peak=0.0, omega_L=3.1, tau=0.4, T=20.0, N=1)
+    rates = DecoherenceRates(gamma21=0.01, gamma23=0.02, Gamma21=0.005, Gamma31=0.003, Gamma23=0.007)
+    rate_map = dynamics._generator_matrices(0.0, undriven, sys_, rates)[0]
+    assert np.count_nonzero(rate_map) == 9
+    assert not np.any((couplings != 0.0).any(axis=0) & (rate_map != 0.0))
+    # the rate generator is the gap map's: exp(R dt) = G(dt)
+    np.testing.assert_allclose(expm(rate_map * 7.0), _gap_map(7.0, rates), rtol=0.0, atol=1e-15)
+
+
 # --- convergence -------------------------------------------------------------------
 
 
@@ -1074,6 +1134,12 @@ def _ramp_trajectory():
     return Trajectory.from_arrays(np.arange(4.0), np.zeros((4, 9)), [3])
 
 
+def _rotating_run(period, n_pulses, gap_samples=2):
+    cfg = PulseTrainConfig(rabi_peak=0.1, omega_L=4.0, tau=0.3, T=period, N=n_pulses)
+    icfg = IntegratorConfig(gap_samples=gap_samples, interpulse_phases=True)
+    return propagate(DensityMatrix.pure(1), cfg, LevelSystem.from_transitions(3.0, 4.0), DecoherenceRates.none(), icfg)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -1101,12 +1167,23 @@ def _ramp_trajectory():
                      "trailing_fraction must be in (0, 1]", id="trailing_fraction_zero"),
         pytest.param(lambda: steady_state_yield(_ramp_trajectory(), 1.5),
                      "trailing_fraction must be in (0, 1]", id="trailing_fraction_above_one"),
+        # with interpulse phases a gap sample's rotation overflows at 1e155, the period's own at 1e308
+        pytest.param(lambda: _rotating_run(1e155, 3), "the period T = 1e+155 overflows the interpulse rotation angles",
+                     id="sample_rotation_overflow"),
+        pytest.param(lambda: _rotating_run(1e308, 3), "the period T = 1e+308 overflows the interpulse rotation angles",
+                     id="period_rotation_overflow"),
     ],
 )
 def test_dynamics_input_checks_raise_their_message(build, message):
     with pytest.raises(ValueError) as raised:
         build()
     assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+def test_rotation_the_train_never_applies_may_overflow():
+    """One pulse without gap samples applies no interpulse rotation, so an
+    angle that overflows there is no error."""
+    assert _rotating_run(1e308, 1, gap_samples=0).metadata["diagnostics"]["pulses_run"] == 1
 
 
 def test_initial_state_check_agrees_with_the_lowest_eigenvalue():
